@@ -64,6 +64,7 @@ from .operators import (
 )
 from .weil import (
     AffineScheme,
+    NotScalarPointError,
     PointError,
     PolyMorphism,
     SchemePoint,
@@ -115,6 +116,7 @@ __all__ = [
     "LinearFiber",
     "Monomial",
     "MultiPoly",
+    "NotScalarPointError",
     "OperatorFamily",
     "ParseError",
     "PointError",

@@ -50,7 +50,14 @@ from .prolongations import (
     validate_algebra_map,
 )
 from .scalars import QQ
-from .weil import AffineScheme, PointError, PolyMorphism, SchemePoint, weil_restrict
+from .weil import (
+    AffineScheme,
+    NotScalarPointError,
+    PointError,
+    PolyMorphism,
+    SchemePoint,
+    weil_restrict,
+)
 
 SUITE_NAMES = (
     "functor_laws",
@@ -203,7 +210,7 @@ def cmd_jet(args):
     ]
     if args.at:
         point = _load_point(args.at, fx.scheme)
-        fiber = jet_fiber(fx.scheme, args.order, point)
+        fiber = jet_fiber(fx.scheme, args.order, point, jet=jet)
         payload["fiber"] = _matrix_payload(fiber.matrix)
         payload["fiber_dimension"] = fiber.dimension
         lines.append("fiber columns: " + ", ".join(fiber.columns))
@@ -966,7 +973,7 @@ def suite_surjectivity(fixtures, seed, trials) -> SuiteRun:
                         report = check_surjectivity(
                             fx.scheme, m, operator, p, fx.dim, interpolation=imap
                         )
-                    except ValueError:
+                    except NotScalarPointError:
                         # base-dependent coordinates have no scalar fiber
                         skipped_points += 1
                         continue

@@ -122,7 +122,12 @@ def load_fixture(path) -> Fixture:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise FixtureError(f"{path}: not valid JSON ({err})") from err
+    if not isinstance(data, dict):
+        raise FixtureError(f"{path}: a fixture must be a JSON object")
     name = data.get("name", path.stem)
+    dim = data.get("dim")
+    if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
+        raise FixtureError(f"{name}: dim must be an integer, got {dim!r}")
     base = tuple(data.get("base", ()))
     ctx = RingContext(QQ, scheme_vars=tuple(data.get("vars", ())), base_gens=base)
     base_ctx = RingContext(QQ, base_gens=base)
@@ -187,7 +192,7 @@ def load_fixture(path) -> Fixture:
         points=points,
         law=data.get("law"),
         expect=data.get("expect", "pass"),
-        dim=data.get("dim"),
+        dim=dim,
         raw=data,
     )
 

@@ -217,9 +217,13 @@ def ideal_equal(
 
 
 class ExactMatrix:
-    """Dense matrix of exact field scalars with optional labels."""
+    """Sparse matrix of exact field scalars with optional labels.
 
-    __slots__ = ("field", "rows", "ncols", "row_labels", "col_labels")
+    Each row is stored in ``entries`` as a column -> value dict of its
+    nonzero entries; ``rows`` is a dense copy for display and comparison.
+    """
+
+    __slots__ = ("field", "entries", "ncols", "row_labels", "col_labels")
 
     def __init__(
         self,
@@ -245,82 +249,75 @@ class ExactMatrix:
         if col_labels is not None and len(col_labels) != ncols:
             raise ValueError("column label count mismatch")
         self.field = field
-        self.rows = coerced
+        self.entries = tuple(
+            {c: v for c, v in enumerate(row) if not field.is_zero(v)}
+            for row in coerced
+        )
         self.ncols = ncols
         self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.col_labels = tuple(col_labels) if col_labels is not None else None
 
     @property
+    def rows(self) -> list[list]:
+        zero = self.field.zero
+        return [[row.get(c, zero) for c in range(self.ncols)] for row in self.entries]
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.entries)
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
-def _clear_denominators(field: Field, row: list) -> list:
-    if not field.is_rational:
-        return row
-    denom = 1
-    for v in row:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
-    if denom == 1:
-        return row
-    return [v * denom for v in row]
+def _rref(field: Field, rows: Iterable[dict]):
+    """Reduced row echelon form of column -> nonzero value dict rows.
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _rref(field: Field, rows: Sequence[Sequence[object]], ncols: int):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    work = [_clear_denominators(field, list(r)) for r in rows]
+    Returns (rows, pivot column list).  Each update touches only the pivot
+    row's nonzeros, and the pivot is the sparsest candidate row; the reduced
+    form is unique, so the choice never changes the result.
+    """
+    work = [dict(r) for r in rows if r]
+    done: list[dict] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next(
-            (i for i in range(r, len(work)) if not field.is_zero(work[i][c])), None
-        )
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(v, inv) for v in work[r]]
-        for i in range(len(work)):
-            if i == r or field.is_zero(work[i][c]):
+    while work:
+        c = min(min(r) for r in work)
+        p = min((i for i, r in enumerate(work) if c in r), key=lambda i: len(work[i]))
+        inv = field.inv(work[p][c])
+        prow = {k: field.mul(v, inv) for k, v in work.pop(p).items()}
+        for row in work + done:
+            factor = row.get(c)
+            if factor is None:
                 continue
-            factor = work[i][c]
-            work[i] = [
-                field.sub(v, field.mul(factor, w)) for v, w in zip(work[i], work[r])
-            ]
+            for k, v in prow.items():
+                value = field.sub(row.get(k, field.zero), field.mul(factor, v))
+                if field.is_zero(value):
+                    del row[k]
+                else:
+                    row[k] = value
+        work = [r for r in work if r]
+        done.append(prow)
         pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    return done, pivots
 
 
 def rank(matrix: ExactMatrix) -> int:
-    _, pivots = _rref(matrix.field, matrix.rows, matrix.ncols)
-    return len(pivots)
+    return len(_rref(matrix.field, matrix.entries)[1])
 
 
 def kernel_basis(matrix: ExactMatrix) -> list[list]:
     """Canonical kernel basis: one vector per free column, ascending, with a
     one in its free column and zeros in the other free columns."""
     field = matrix.field
-    echelon, pivots = _rref(field, matrix.rows, matrix.ncols)
+    echelon, pivots = _rref(field, matrix.entries)
     pivot_set = set(pivots)
     free = [c for c in range(matrix.ncols) if c not in pivot_set]
     basis = []
     for f in free:
         vec = [field.zero] * matrix.ncols
         vec[f] = field.one
-        for r, c in enumerate(pivots):
-            vec[c] = field.neg(echelon[r][f])
+        for row, c in zip(echelon, pivots):
+            vec[c] = field.neg(row.get(f, field.zero))
         basis.append(vec)
     return basis
 
@@ -330,15 +327,17 @@ def solve_linear(matrix: ExactMatrix, rhs: Sequence[object]):
     field = matrix.field
     if len(rhs) != matrix.nrows:
         raise ValueError("right-hand side length mismatch")
-    augmented = [
-        list(row) + [field.coerce(v)] for row, v in zip(matrix.rows, rhs)
-    ]
-    echelon, pivots = _rref(field, augmented, matrix.ncols + 1)
-    if matrix.ncols in pivots:
+    n = matrix.ncols
+    augmented = []
+    for row, v in zip(matrix.entries, rhs):
+        v = field.coerce(v)
+        augmented.append(row if field.is_zero(v) else {**row, n: v})
+    echelon, pivots = _rref(field, augmented)
+    if n in pivots:
         return None
-    solution = [field.zero] * matrix.ncols
-    for r, c in enumerate(pivots):
-        solution[c] = echelon[r][matrix.ncols]
+    solution = [field.zero] * n
+    for row, c in zip(echelon, pivots):
+        solution[c] = row.get(n, field.zero)
     return solution
 
 
@@ -349,14 +348,11 @@ def matrix_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise ValueError("shape mismatch")
     field = a.field
     rows = []
-    for row in a.rows:
+    for arow in a.entries:
         out = [field.zero] * b.ncols
-        for k, v in enumerate(row):
-            if field.is_zero(v):
-                continue
-            brow = b.rows[k]
-            for j in range(b.ncols):
-                out[j] = field.add(out[j], field.mul(v, brow[j]))
+        for k, v in arow.items():
+            for j, w in b.entries[k].items():
+                out[j] = field.add(out[j], field.mul(v, w))
         rows.append(out)
     return ExactMatrix(field, rows, ncols=b.ncols)
 
@@ -367,9 +363,11 @@ def apply_matrix(matrix: ExactMatrix, vector: Sequence[object]) -> list:
         raise ValueError("vector length mismatch")
     vec = [field.coerce(v) for v in vector]
     out = []
-    for row in matrix.rows:
+    for row in matrix.entries:
         acc = field.zero
-        for v, x in zip(row, vec):
-            acc = field.add(acc, field.mul(v, x))
+        for c, v in row.items():
+            x = vec[c]
+            if not field.is_zero(x):
+                acc = field.add(acc, field.mul(v, x))
         out.append(acc)
     return out

@@ -27,7 +27,7 @@ from .jets import (
 from .operators import RingOperator
 from .polynomials import Monomial, compositions, hasse_derivative, substitute
 from .prolongations import Prolongation, nabla, prolong
-from .weil import AffineScheme, PolyMorphism, SchemePoint
+from .weil import AffineScheme, NotScalarPointError, PolyMorphism, SchemePoint
 
 
 def multinomial(total: int, parts) -> int:
@@ -181,12 +181,12 @@ def fiber_matrices_at(
     imap = _claimed(interpolation, scheme, order, operator)
     pro = imap.prolongation
     npoint = nabla(scheme, operator, point, result=pro)
-    m_src = jet_fiber(pro.scheme, order, npoint)
+    m_src = jet_fiber(pro.scheme, order, npoint, jet=imap.source)
     tctx = imap.target.ctx
     values = {}
     for name, val in npoint.assignment.items():
         if not val.is_constant():
-            raise ValueError(
+            raise NotScalarPointError(
                 f"coordinate {name!r} is not a scalar; specialize the base first"
             )
         values[name] = tctx.const(val.constant_value())
@@ -228,7 +228,7 @@ def jacobian_rank(scheme: AffineScheme, point) -> int:
     values = {}
     for name, val in point.assignment.items():
         if not val.is_constant():
-            raise ValueError(
+            raise NotScalarPointError(
                 f"coordinate {name!r} is not a scalar; specialize the base first"
             )
         values[name] = ctx.const(val.constant_value())

@@ -17,7 +17,7 @@ from .polynomials import (
     substitute,
     transport,
 )
-from .weil import AffineScheme, PolyMorphism, SchemePoint
+from .weil import AffineScheme, NotScalarPointError, PolyMorphism, SchemePoint
 
 
 def jet_indices(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
@@ -133,13 +133,19 @@ def linear_system(polys, values, ctx: RingContext, columns) -> ExactMatrix:
     return ExactMatrix(field, rows, col_labels=list(columns))
 
 
-def jet_fiber(scheme: AffineScheme, order: int, point) -> LinearFiber:
+def jet_fiber(
+    scheme: AffineScheme, order: int, point, jet: JetScheme | None = None
+) -> LinearFiber:
     """The linear system cutting the jet fiber over a scalar point.
 
     Point coordinates must be constants; parametrized families should be
     specialized before taking fibers so the matrix lives over the field.
+    A caller that already holds the jet scheme passes it as ``jet``.
     """
-    jet = jet_scheme(scheme, order)
+    if jet is None:
+        jet = jet_scheme(scheme, order)
+    elif jet.source is not scheme or jet.order != order:
+        raise ValueError("jet scheme was built from different data")
     if not isinstance(point, SchemePoint):
         point = SchemePoint(scheme, point)
     if point.scheme is not scheme:
@@ -148,7 +154,7 @@ def jet_fiber(scheme: AffineScheme, order: int, point) -> LinearFiber:
     values = {}
     for name, value in point.assignment.items():
         if not value.is_constant():
-            raise ValueError(
+            raise NotScalarPointError(
                 f"coordinate {name!r} is not a scalar; specialize the base first"
             )
         values[name] = ctx.const(value.constant_value())

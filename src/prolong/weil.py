@@ -34,6 +34,11 @@ class PointError(ValueError):
         self.residuals = residuals
 
 
+class NotScalarPointError(ValueError):
+    """A point coordinate that still depends on the base ring where a scalar
+    fiber needs a constant; specialize the base first."""
+
+
 def _render(value) -> str:
     if isinstance(value, MultiPoly):
         return poly_to_str(value)

@@ -5,7 +5,7 @@ term-by-term expansion) and on purpose shares no code with the package.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from prolong.polynomials import Monomial, MultiPoly
 
@@ -110,3 +110,41 @@ def augmented_jet_fiber(scheme, order: int, point):
             enlarged.append(p * mono)
     ambient = AffineScheme(ctx, enlarged)
     return jet_fiber(ambient, order, dict(point.assignment))
+
+
+def dense_rref(field, rows, ncols: int):
+    """Reduced row echelon form by dense Gauss-Jordan elimination over lists.
+
+    Rational rows are scaled to integer entries first, which never changes
+    the reduced form.  Returns (echelon rows, pivot column list).
+    """
+    work = []
+    for row in rows:
+        row = list(row)
+        if field.is_rational:
+            denom = lcm(1, *(v.denominator for v in row))
+            row = [v * denom for v in row]
+        work.append(row)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next(
+            (i for i in range(r, len(work)) if not field.is_zero(work[i][c])), None
+        )
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(v, inv) for v in work[r]]
+        for i in range(len(work)):
+            if i == r or field.is_zero(work[i][c]):
+                continue
+            factor = work[i][c]
+            work[i] = [
+                field.sub(v, field.mul(factor, w)) for v, w in zip(work[i], work[r])
+            ]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots

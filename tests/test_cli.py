@@ -1,11 +1,15 @@
 """End-to-end checks of the command line front end."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import prolong
 from prolong.cli import main
 from prolong.fixtures import FixtureError, load_fixture, load_fixtures
 from prolong.groebner import EngineLimitError
@@ -362,3 +366,40 @@ def test_operator_defaults_to_the_standard_inclusion():
     second = load_fixture(FIXTURES / "difference_curve.json").second_operator
     slots = second.images["t"].slots
     assert [str(s) for s in [slots[0], slots[1]]] == ["t", "1"]
+
+
+def run_cli_process(*args):
+    """The CLI in a fresh interpreter, so an uncaught error shows on stderr."""
+    env = dict(os.environ)
+    src = str(Path(prolong.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "prolong.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (["x^2 - 1"], "must be a JSON object"),
+        (
+            {"vars": ["x"], "ideal": ["x^2 - 1"], "dim": "one"},
+            "dim must be an integer",
+        ),
+        ({"vars": ["x"], "ideal": ["x^2 - 1"], "dim": True}, "dim must be an integer"),
+    ],
+    ids=["top-level-list", "dim-string", "dim-bool"],
+)
+def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    with pytest.raises(FixtureError, match=message):
+        load_fixture(bad)
+    done = run_cli_process("check", "--input", bad, "--suite", "surjectivity")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert message in done.stdout

@@ -1,6 +1,8 @@
 """Interpolating jets of a restriction into the restriction of jets."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,9 @@ from prolong.algebra import (
     trivial_algebra,
     truncated_algebra,
 )
+import prolong.interpolation
+import prolong.jets
+from prolong.fixtures import fixture_points, load_fixtures
 from prolong.groebner import apply_matrix, groebner, ideal_member, rank
 from prolong.interpolation import (
     check_surjectivity,
@@ -38,8 +43,9 @@ from prolong.prolongations import (
     prolong_morphism,
 )
 from prolong.scalars import QQ
-from prolong.weil import AffineScheme, PointError, PolyMorphism
+from prolong.weil import AffineScheme, NotScalarPointError, PointError, PolyMorphism
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PLAIN = RingContext(QQ)
 
 TRUNCATED_SMALL = [
@@ -435,5 +441,62 @@ def test_parameter_base_needs_specializing_for_fibers():
     ctx = RingContext(QQ, scheme_vars=("x",), base_gens=("t",))
     line = AffineScheme(ctx, [])
     std = standard_operator(dual_numbers(), base)
-    with pytest.raises(ValueError, match="specialize the base"):
+    with pytest.raises(NotScalarPointError, match="specialize the base"):
         check_surjectivity(line, 1, std, {"x": ctx.var("t")}, 1)
+
+
+def test_surjectivity_with_a_map_builds_no_jet_scheme(monkeypatch):
+    conic = plain_scheme(("x", "y"), ["x^2 + y^2 - 1"])
+    operator = op(truncated_algebra(1, 2))
+    imap = interpolation_map(conic, 2, operator)
+    calls = []
+
+    def counting(scheme, order, real=prolong.jets.jet_scheme):
+        calls.append(order)
+        return real(scheme, order)
+
+    monkeypatch.setattr(prolong.jets, "jet_scheme", counting)
+    monkeypatch.setattr(prolong.interpolation, "jet_scheme", counting)
+    point = {"x": Fraction(3, 5), "y": Fraction(4, 5)}
+    report = check_surjectivity(conic, 2, operator, point, 1, interpolation=imap)
+    assert report.status == "pass"
+    assert calls == []
+
+
+def test_fiber_matrices_equal_with_and_without_jet_reuse(monkeypatch):
+    compared = 0
+    for fx in load_fixtures(FIXTURES):
+        if fx.scheme.is_algebra_mode or fx.operator is None or fx.dim is None:
+            continue
+        operators = [fx.operator]
+        if fx.second_operator is not None:
+            operators.append(fx.second_operator)
+        rng = random.Random(fx.name)
+        for operator in operators:
+            for m in (1, 2):
+                imap = interpolation_map(fx.scheme, m, operator)
+                for p in fixture_points(fx, rng, 2):
+                    try:
+                        reused = fiber_matrices_at(
+                            fx.scheme, m, operator, p, interpolation=imap
+                        )
+                    except NotScalarPointError:
+                        continue
+                    with monkeypatch.context() as patch:
+                        patch.setattr(
+                            prolong.interpolation,
+                            "jet_fiber",
+                            lambda *args, jet=None: prolong.jets.jet_fiber(*args),
+                        )
+                        rebuilt = fiber_matrices_at(
+                            fx.scheme, m, operator, p, interpolation=imap
+                        )
+                    for a, b in zip(
+                        (reused[0].matrix, reused[1].matrix, reused[2]),
+                        (rebuilt[0].matrix, rebuilt[1].matrix, rebuilt[2]),
+                    ):
+                        assert a.rows == b.rows
+                        assert a.row_labels == b.row_labels
+                        assert a.col_labels == b.col_labels
+                    compared += 1
+    assert compared >= 30

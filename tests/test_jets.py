@@ -25,7 +25,13 @@ from prolong.polynomials import (
     transport,
 )
 from prolong.scalars import QQ
-from prolong.weil import AffineScheme, PolyMorphism, SchemePoint, specialize_base
+from prolong.weil import (
+    AffineScheme,
+    NotScalarPointError,
+    PolyMorphism,
+    SchemePoint,
+    specialize_base,
+)
 
 
 def plain_scheme(variables, gens, base=()):
@@ -158,12 +164,26 @@ def test_fiber_at_node_sees_both_branches():
 def test_fiber_requires_scalar_coordinates():
     parabola = plain_scheme(("x", "y"), ["y - x^2"], base=("t",))
     t = parabola.ctx.var("t")
-    with pytest.raises(ValueError, match="not a scalar"):
+    with pytest.raises(NotScalarPointError, match="not a scalar"):
         jet_fiber(parabola, 1, {"x": t, "y": t * t})
 
     weighted = plain_scheme(("x",), ["t*x - t"], base=("t",))
     with pytest.raises(ValueError, match="specialize the base"):
         jet_fiber(weighted, 1, {"x": 1})
+
+
+def test_fiber_reuses_a_matching_jet_scheme_only():
+    conic = plain_scheme(("x", "y"), ["x^2 + y^2 - 1"])
+    twin = plain_scheme(("x", "y"), ["x^2 + y^2 - 1"])
+    point = {"x": 1, "y": 0}
+    jet = jet_scheme(conic, 2)
+    reused = jet_fiber(conic, 2, point, jet=jet)
+    assert reused.matrix.rows == jet_fiber(conic, 2, point).matrix.rows
+    assert reused.columns == jet.z_variables
+    with pytest.raises(ValueError, match="different data"):
+        jet_fiber(conic, 1, point, jet=jet)
+    with pytest.raises(ValueError, match="different data"):
+        jet_fiber(twin, 2, point, jet=jet)
 
 
 def test_jet_morphism_identity_and_square():
