@@ -82,7 +82,9 @@ def _reduce(
 ) -> MultiPoly:
     """Remainder of ``poly`` by the ``(leading monomial, divisor)`` table.
 
-    The working terms sit in a max-heap on the order key.  Every term a step
+    The working terms sit in a heap on the negated order key (a degree and an
+    exponent tuple), computed once per monomial; distinct monomials have
+    distinct keys, so entries never compare monomials.  Every term a step
     adds is smaller than the one it removes, so a popped monomial never comes
     back; a cancelled term keeps a zero coefficient and is dropped when popped.
     """
