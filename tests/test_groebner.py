@@ -127,6 +127,17 @@ def test_engine_limit():
         ideal_equal(gens, [ctx.var("x")], pair_limit=0)
 
 
+def test_criteria_skip_pairs_that_reduce_to_zero():
+    # cyclic-3: all pairs with non-coprime leading monomials take six
+    # reductions; the Gebauer-Moeller criteria leave two
+    ctx = RingContext(QQ, scheme_vars=("x", "y", "z"))
+    texts = ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
+    gens = [parse_poly(t, ctx) for t in texts]
+    assert groebner(gens, pair_limit=2).gens == reference_groebner(gens)
+    with pytest.raises(EngineLimitError):
+        groebner(gens, pair_limit=1)
+
+
 def test_groebner_basis_container():
     ctx = ctx_xy()
     gb = groebner([parse_poly("x - y", ctx)])
