@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .polynomials import MultiPoly, RingContext, exponents_up_to
+from .polynomials import MONOMIAL_ONE, MultiPoly, RingContext, exponents_up_to
 
 
 class AlgebraValidationError(ValueError):
@@ -38,7 +38,7 @@ def _fractionize(value) -> Fraction:
 class AlgebraScheme:
     """Finite free algebra scheme with a fixed unit-first basis."""
 
-    __slots__ = ("rank", "labels", "table", "name")
+    __slots__ = ("rank", "labels", "table", "name", "terms")
 
     def __init__(
         self,
@@ -62,6 +62,11 @@ class AlgebraScheme:
         self.table = tab
         self.name = name
         self._validate()
+        # nonzero (k, c_ij^k) entries of each cell; the table is immutable
+        self.terms = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+            for row in tab
+        )
 
     def _validate(self) -> None:
         rank, tab = self.rank, self.table
@@ -125,10 +130,8 @@ class AlgebraScheme:
             for j, bj in enumerate(b):
                 if not bj:
                     continue
-                cell = self.table[i][j]
-                for k in range(self.rank):
-                    if cell[k]:
-                        out[k] += ai * bj * cell[k]
+                for k, c in self.terms[i][j]:
+                    out[k] += ai * bj * c
         return out
 
     # -- elements -------------------------------------------------------------
@@ -158,6 +161,23 @@ def _reduce(ctx: RingContext, value):
     return ctx.field.coerce(value)
 
 
+def _check_compatible(algebra: AlgebraScheme, ctx: RingContext, value) -> None:
+    if algebra != value.algebra:
+        raise ValueError("elements of different algebras")
+    if ctx != value.ctx:
+        raise ValueError("elements over different contexts")
+
+
+def _accumulate(acc: dict, coeffs: Mapping, c, field) -> None:
+    """Add ``c`` times the terms ``coeffs`` into the coefficient dict ``acc``."""
+    add, mul, scaled = field.add, field.mul, c != 1
+    for m, v in coeffs.items():
+        if scaled:
+            v = mul(v, c)
+        old = acc.get(m)
+        acc[m] = v if old is None else add(old, v)
+
+
 class AlgebraElement:
     """Element of E(R): one polynomial per basis slot."""
 
@@ -174,14 +194,8 @@ class AlgebraElement:
         self.ctx = ctx
         self.slots = slots
 
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.algebra != other.algebra:
-            raise ValueError("elements of different algebras")
-        if self.ctx != other.ctx:
-            raise ValueError("elements over different contexts")
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        _check_compatible(self.algebra, self.ctx, other)
         return AlgebraElement(
             self.algebra,
             self.ctx,
@@ -195,21 +209,22 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+        _check_compatible(self.algebra, self.ctx, other)
         algebra = self.algebra
         field = self.ctx.field
-        out = [self.ctx.zero() for _ in range(algebra.rank)]
+        out = [{} for _ in range(algebra.rank)]
         for i, a in enumerate(self.slots):
-            if a.is_zero():
+            if not a.coeffs:
                 continue
+            row = algebra.terms[i]
             for j, b in enumerate(other.slots):
-                if b.is_zero():
-                    continue
-                ab = a * b
-                for k, c in enumerate(algebra.table[i][j]):
-                    if c:
-                        out[k] = out[k] + ab.scale(field.from_fraction(c))
-        return AlgebraElement(algebra, self.ctx, tuple(out))
+                if b.coeffs and row[j]:
+                    ab = (a * b).coeffs
+                    for k, c in row[j]:
+                        _accumulate(out[k], ab, field.from_fraction(c), field)
+        return AlgebraElement(
+            algebra, self.ctx, tuple(MultiPoly(self.ctx, d) for d in out)
+        )
 
     def scale(self, poly) -> "AlgebraElement":
         if isinstance(poly, MultiPoly):
@@ -256,30 +271,38 @@ def evaluate_in_algebra(
     """Ring evaluation of a polynomial with algebra-element arguments.
 
     Every variable occurring in ``poly`` must be assigned; coefficients map
-    through the unit.  Powers are cached per variable.
+    through the unit.  Powers are built up incrementally and cached per
+    variable, and the scaled terms are summed slot by slot in place.
     """
     if poly.ctx.field != ctx.field:
         raise ValueError("coefficient fields differ")
-    powers: dict[tuple[str, int], AlgebraElement] = {}
+    field = ctx.field
+    powers: dict[str, list[AlgebraElement]] = {}
 
     def power(name: str, e: int) -> AlgebraElement:
-        got = powers.get((name, e))
+        got = powers.get(name)
         if got is None:
-            got = assignment[name] ** e
-            powers[(name, e)] = got
-        return got
-
-    names = poly.ctx.all_vars
-    total = algebra.element(ctx, [ctx.zero()] * algebra.rank)
-    for m, c in poly.coeffs.items():
-        term = algebra.scalar(ctx, ctx.const(c))
-        for i, e in m.exps:
-            name = names[i]
             if name not in assignment:
                 raise ValueError(f"no algebra value assigned to {name!r}")
-            term = term * power(name, e)
-        total = total + term
-    return total
+            _check_compatible(algebra, ctx, assignment[name])
+            got = powers[name] = [assignment[name]]
+        while len(got) < e:
+            got.append(got[-1] * got[0])
+        return got[e - 1]
+
+    names = poly.ctx.all_vars
+    out = [{} for _ in range(algebra.rank)]
+    for m, c in poly.coeffs.items():
+        term = None
+        for i, e in m.exps:
+            p = power(names[i], e)
+            term = p if term is None else term * p
+        if term is None:
+            _accumulate(out[0], {MONOMIAL_ONE: c}, field.one, field)
+        else:
+            for acc, s in zip(out, term.slots):
+                _accumulate(acc, s.coeffs, c, field)
+    return AlgebraElement(algebra, ctx, tuple(MultiPoly(ctx, d) for d in out))
 
 
 # -- builtins -------------------------------------------------------------------

@@ -107,7 +107,7 @@ def _load_point(path_text: str, scheme: AffineScheme) -> SchemePoint:
 def _load_operator_file(path_text: str, base_ctx: RingContext):
     data = _load_json(path_text)
     algebra = make_builtin(data["algebra"])
-    return algebra, make_operator(algebra, base_ctx, data)
+    return algebra, make_operator(algebra, base_ctx, data, path_text)
 
 
 def _render_point(point: SchemePoint) -> dict:

@@ -23,15 +23,17 @@ class FixtureError(ValueError):
     pass
 
 
-def make_operator(algebra: AlgebraScheme, base_ctx: RingContext, spec) -> RingOperator:
+def make_operator(
+    algebra: AlgebraScheme, base_ctx: RingContext, spec, name: str, field="operator"
+) -> RingOperator:
     """Operator from its JSON spec: per-generator slot vectors of polynomial
-    strings; generators left unlisted map through the unit slot."""
-    if spec is None:
-        spec = {}
+    strings; generators left unlisted map through the unit slot.  Errors name
+    the fixture ``name`` and the ``field`` the spec was read from."""
+    spec = _typed({} if spec is None else spec, name, field)
     if "operator" in spec:
-        spec = spec["operator"]
+        spec = _typed(spec["operator"], name, field)
     images = {}
-    for g, slots in spec.get("images", {}).items():
+    for g, slots in _typed(spec.get("images", {}), name, f"{field}.images").items():
         if not isinstance(slots, (list, tuple)) or len(slots) != algebra.rank:
             raise FixtureError(
                 f"image of {g!r} needs {algebra.rank} slot strings"
@@ -90,12 +92,11 @@ class Fixture:
     law: str | None
     expect: str
     dim: int | None
-    raw: dict
 
 
-def _object(value, name: str, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise FixtureError(f"{name}: {field} must be a JSON object, got {value!r}")
+def _typed(value, name: str, field: str, kind=dict, what: str = "a JSON object"):
+    if not isinstance(value, kind):
+        raise FixtureError(f"{name}: {field} must be {what}, got {value!r}")
     return value
 
 
@@ -105,18 +106,21 @@ def _names(value, name: str, field: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _parse_alpha(rows) -> list:
-    return [[Fraction(str(x)) for x in row] for row in rows]
+def _parse_alpha(rows, name: str) -> list:
+    return [
+        [Fraction(str(x)) for x in _typed(row, name, "alpha row", list, "a list")]
+        for row in _typed(rows, name, "alpha", list, "a list of rows")
+    ]
 
 
 def _parse_family(data, name, scheme) -> PointFamily | None:
     spec = data.get("point_family")
     if spec is None:
         return None
-    spec = _object(spec, name, "point_family")
+    spec = _typed(spec, name, "point_family")
     fvars = _names(spec.get("vars"), name, "point_family.vars")
     fctx = RingContext(QQ, scheme_vars=fvars)
-    table = _object(spec.get("values"), name, "point_family.values")
+    table = _typed(spec.get("values"), name, "point_family.values")
     values = []
     for coord in scheme.variables:
         entry = table.get(coord)
@@ -126,7 +130,7 @@ def _parse_family(data, name, scheme) -> PointFamily | None:
             values.append((coord, parse_poly(entry, fctx), None))
         else:
             field = f"point_family.values.{coord}"
-            entry = _object(entry, name, field)
+            entry = _typed(entry, name, field)
             if "num" not in entry:
                 raise FixtureError(f"{name}: {field} needs 'num'")
             num = parse_poly(str(entry["num"]), fctx)
@@ -143,7 +147,7 @@ def load_fixture(path) -> Fixture:
         raise FixtureError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(data, dict):
         raise FixtureError(f"{path}: a fixture must be a JSON object")
-    name = data.get("name", path.stem)
+    name = _typed(data.get("name", path.stem), str(path), "name", str, "a string")
     dim = data.get("dim")
     if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
         raise FixtureError(f"{name}: dim must be an integer, got {dim!r}")
@@ -154,8 +158,8 @@ def load_fixture(path) -> Fixture:
     algebra = operator = None
     if "algebra" in data:
         algebra = make_builtin(data["algebra"])
-        operator = make_operator(algebra, base_ctx, data.get("operator"))
-    entries = data.get("ideal", ())
+        operator = make_operator(algebra, base_ctx, data.get("operator"), name)
+    entries = _typed(data.get("ideal", []), name, "ideal", list, "a list")
     if any(not isinstance(e, str) for e in entries):
         # slot-vector entries present: the scheme itself has coefficients
         # in the algebra and only the restriction command can use it
@@ -167,6 +171,7 @@ def load_fixture(path) -> Fixture:
                 slots = [parse_poly(entry, ctx)]
                 slots += [ctx.zero()] * (algebra.rank - 1)
             else:
+                entry = _typed(entry, name, "ideal entry", list, "a string or a list")
                 if len(entry) != algebra.rank:
                     raise FixtureError(
                         f"{name}: slot vectors need {algebra.rank} entries"
@@ -178,21 +183,21 @@ def load_fixture(path) -> Fixture:
         scheme = AffineScheme(ctx, [parse_poly(e, ctx) for e in entries])
     second_algebra = second_operator = None
     if "second" in data:
-        second = _object(data["second"], name, "second")
+        second = _typed(data["second"], name, "second")
         second_algebra = make_builtin(
-            _object(second.get("algebra"), name, "second.algebra")
+            _typed(second.get("algebra"), name, "second.algebra")
         )
         second_operator = make_operator(
-            second_algebra, base_ctx, second.get("operator")
+            second_algebra, base_ctx, second.get("operator"), name, "second.operator"
         )
-    alpha = _parse_alpha(data["alpha"]) if "alpha" in data else None
+    alpha = _parse_alpha(data["alpha"], name) if "alpha" in data else None
     morphism = None
     if "morphism" in data:
-        spec = _object(data["morphism"], name, "morphism")
+        spec = _typed(data["morphism"], name, "morphism")
         mvars = _names(spec.get("vars"), name, "morphism.vars")
         mctx = RingContext(QQ, scheme_vars=mvars, base_gens=base)
         space = AffineScheme(mctx, [])
-        images = _object(spec.get("assignment"), name, "morphism.assignment")
+        images = _typed(spec.get("assignment"), name, "morphism.assignment")
         assignment = {k: parse_poly(str(v), mctx) for k, v in images.items()}
         morphism = PolyMorphism(space, scheme, assignment)
         if not morphism.is_morphism():
@@ -203,11 +208,15 @@ def load_fixture(path) -> Fixture:
             scheme,
             {
                 k: parse_poly(str(v), ctx)
-                for k, v in _object(entry, name, "points entry").items()
+                for k, v in _typed(entry, name, "points entry").items()
             },
         )
-        for entry in data.get("points", ())
+        for entry in _typed(data.get("points", []), name, "points", list, "a list")
     ]
+    law = _typed(data.get("law"), name, "law", (str, type(None)), "a string")
+    expect = data.get("expect", "pass")
+    if expect not in ("pass", "fail"):
+        raise FixtureError(f"{name}: expect must be 'pass' or 'fail', got {expect!r}")
     return Fixture(
         name=name,
         scheme=scheme,
@@ -219,10 +228,9 @@ def load_fixture(path) -> Fixture:
         morphism=morphism,
         family=family,
         points=points,
-        law=data.get("law"),
-        expect=data.get("expect", "pass"),
+        law=law,
+        expect=expect,
         dim=dim,
-        raw=data,
     )
 
 

@@ -78,11 +78,6 @@ class RingOperator:
             poly = transport(poly, self.ctx)
         return evaluate_in_algebra(poly, self.images, self.algebra, self.ctx)
 
-    def slot(self, index: int) -> Callable[[MultiPoly], MultiPoly]:
-        if not 0 <= index < self.algebra.rank:
-            raise ValueError("slot index out of range")
-        return lambda poly: self.extend(poly).slots[index]
-
     def __repr__(self) -> str:
         body = ", ".join(f"{g} -> {v!r}" for g, v in sorted(self.images.items()))
         return f"RingOperator({self.algebra.name}; {body})"
@@ -99,14 +94,26 @@ def standard_operator(algebra: AlgebraScheme, ctx: RingContext) -> RingOperator:
 
 
 class OperatorFamily:
-    """Slot-projection view of an operator: maps D_i with D_i(P) = e(P)_i."""
+    """Slot-projection view of an operator: maps D_i with D_i(P) = e(P)_i.
+    The maps share one extension of the last polynomial they were given."""
 
-    __slots__ = ("operator", "maps", "labels")
+    __slots__ = ("operator", "maps", "labels", "_last")
 
     def __init__(self, operator: RingOperator):
         self.operator = operator
-        self.maps = [operator.slot(i) for i in range(operator.algebra.rank)]
+        self._last: tuple[MultiPoly | None, AlgebraElement | None] = (None, None)
+        self.maps = [
+            lambda poly, i=i: self._extend(poly).slots[i]
+            for i in range(operator.algebra.rank)
+        ]
         self.labels = operator.algebra.labels
+
+    def _extend(self, poly: MultiPoly) -> AlgebraElement:
+        last, image = self._last
+        if last is not poly:
+            image = self.operator.extend(poly)
+            self._last = (poly, image)
+        return image
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -221,11 +228,11 @@ def check_dring_law(
         x = random_poly(ctx, rng, allow_zero=True)
         y = random_poly(ctx, rng, allow_zero=True)
         left = d_map(x + y)
-        right = d_map(x) + d_map(y)
+        dx, dy = d_map(x), d_map(y)
+        right = dx + dy
         if left != right:
             return _fail(trial + 1, "additivity", x=x, y=y, left=left, right=right)
         left = d_map(x * y)
-        dx, dy = d_map(x), d_map(y)
         right = x * dy + dx * y + c_scalar * dx * dy
         if left != right:
             return _fail(

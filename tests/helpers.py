@@ -230,3 +230,51 @@ def reference_groebner(gens, order: str = "grevlex") -> tuple:
     ]
     nvars = ctx.nvars
     return tuple(sorted(reduced, key=lambda g: key(lead(g), nvars), reverse=True))
+
+
+def reference_algebra_mul(x, y):
+    """E(R) product term by term: every structure constant adds one scaled
+    copy of the slot product to a fresh output polynomial."""
+    if x.algebra != y.algebra:
+        raise ValueError("elements of different algebras")
+    if x.ctx != y.ctx:
+        raise ValueError("elements over different contexts")
+    algebra, ctx = x.algebra, x.ctx
+    out = [ctx.zero() for _ in range(algebra.rank)]
+    for i, a in enumerate(x.slots):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(y.slots):
+            if b.is_zero():
+                continue
+            ab = a * b
+            for k, c in enumerate(algebra.table[i][j]):
+                if c:
+                    out[k] = out[k] + ab.scale(ctx.field.from_fraction(c))
+    return algebra.element(ctx, out)
+
+
+def reference_evaluate_in_algebra(poly, assignment, algebra, ctx):
+    """Ring evaluation of ``poly`` at algebra elements: each term is the unit
+    scaled by its coefficient times every variable power, each power is a
+    product that starts at the unit, and the terms are summed one by one."""
+    if poly.ctx.field != ctx.field:
+        raise ValueError("coefficient fields differ")
+
+    def power(value, e):
+        out = value.algebra.unit(value.ctx)
+        for _ in range(e):
+            out = reference_algebra_mul(out, value)
+        return out
+
+    names = poly.ctx.all_vars
+    total = algebra.element(ctx, [ctx.zero()] * algebra.rank)
+    for m, c in poly.coeffs.items():
+        term = algebra.scalar(ctx, ctx.const(c))
+        for i, e in m.exps:
+            name = names[i]
+            if name not in assignment:
+                raise ValueError(f"no algebra value assigned to {name!r}")
+            term = reference_algebra_mul(term, power(assignment[name], e))
+        total = total + term
+    return total

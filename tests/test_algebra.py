@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_algebra_mul, reference_evaluate_in_algebra
 from prolong.scalars import GF, QQ
-from prolong.polynomials import RingContext, parse_poly
+from prolong.polynomials import Monomial, MultiPoly, RingContext, parse_poly
 from prolong.algebra import (
     AlgebraScheme,
     AlgebraValidationError,
@@ -264,3 +267,90 @@ def test_evaluate_in_algebra_gf():
     # d(x^5) = 5x^4 = 0 in characteristic five
     assert value.slots[1].is_zero()
     assert value.slots[0] == ctx.var("x") ** 5
+
+
+# -- differential tests against the term-by-term reference arithmetic ---------
+
+ALGEBRAS = [
+    truncated_algebra(1, 3),
+    truncated_algebra(2, 2),
+    product_algebra(3),
+    dring_algebra(1),
+    dring_algebra(Fraction(-3, 2)),
+    dring_algebra(7),  # zero in GF(7), nonzero over the rationals
+    tensor(dual_numbers(), product_algebra(2)),
+]
+FIELDS = [QQ, GF(7)]
+differential = settings(max_examples=120, deadline=None)
+
+
+@st.composite
+def polys(draw, ctx, max_terms=3):
+    """A random polynomial of degree at most 2; empty for the zero slot."""
+    monos = [
+        Monomial(((i, 1), (j, 1)) if i != j else ((i, 2),))
+        for i in range(ctx.nvars)
+        for j in range(i, ctx.nvars)
+    ] + [Monomial(((i, 1),)) for i in range(ctx.nvars)] + [Monomial()]
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=max_terms, unique=True))
+    coeff = st.integers(-4, 4).filter(bool)
+    if ctx.field.is_rational:
+        coeff = st.builds(Fraction, coeff, st.integers(1, 3))
+    return MultiPoly(ctx, {m: ctx.field.coerce(draw(coeff)) for m in chosen})
+
+
+@st.composite
+def elements(draw, algebra, ctx):
+    return algebra.element(ctx, [draw(polys(ctx)) for _ in range(algebra.rank)])
+
+
+def target_ctx(field):
+    return RingContext(field, base_gens=("t",), scheme_vars=("x", "y"))
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@differential
+@given(st.data(), st.sampled_from(ALGEBRAS), st.sampled_from(FIELDS))
+def test_product_matches_reference(data, algebra, field):
+    ctx = target_ctx(field)
+    a = data.draw(elements(algebra, ctx))
+    b = data.draw(elements(algebra, ctx))
+    assert a * b == reference_algebra_mul(a, b)
+
+
+@differential
+@given(st.data(), st.sampled_from(ALGEBRAS), st.sampled_from(FIELDS))
+def test_evaluation_matches_reference(data, algebra, field):
+    ctx = target_ctx(field)
+    source = RingContext(field, base_gens=("s",), scheme_vars=("a", "b"))
+    poly = data.draw(polys(source, max_terms=6))
+    assignment = {v: data.draw(elements(algebra, ctx)) for v in ("a", "b", "s")}
+    assert evaluate_in_algebra(
+        poly, assignment, algebra, ctx
+    ) == reference_evaluate_in_algebra(poly, assignment, algebra, ctx)
+
+
+@differential
+@given(st.data(), st.sampled_from(ALGEBRAS), st.sampled_from(FIELDS))
+def test_mismatches_raise_like_reference(data, algebra, field):
+    ctx = target_ctx(field)
+    other_ctx = RingContext(field, scheme_vars=("z",))
+    other = trivial_algebra()
+    a = data.draw(elements(algebra, ctx))
+    for b in (other.unit(ctx), algebra.unit(other_ctx)):
+        assert raised(lambda: a * b) == raised(reference_algebra_mul, a, b)
+    source = RingContext(field, scheme_vars=("a", "b"))
+    # every term involves b, so its assigned value is always used
+    drawn = data.draw(polys(source))
+    poly = (source.one() if drawn.is_zero() else drawn) * source.var("b")
+    for bad in (other.unit(ctx), algebra.unit(other_ctx), None):
+        assignment = {"a": a} if bad is None else {"a": a, "b": bad}
+        message = raised(evaluate_in_algebra, poly, assignment, algebra, ctx)
+        assert message == raised(
+            reference_evaluate_in_algebra, poly, assignment, algebra, ctx
+        )

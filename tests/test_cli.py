@@ -382,6 +382,15 @@ def run_cli_process(*args):
     )
 
 
+# a fixture that loads an operator; malformed cases override one field
+LAW_FIXTURE = {
+    "base": ["t"],
+    "vars": ["x"],
+    "ideal": ["x^2 - t"],
+    "algebra": {"builtin": "truncated", "vars": 1, "order": 1},
+}
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -420,6 +429,34 @@ def run_cli_process(*args):
             {"name": "m", "vars": ["x"], "ideal": ["x^2 - 1"], "morphism": {}},
             "m: morphism.vars must be a list of names",
         ),
+        ({"name": "i", "vars": ["x"], "ideal": 5}, "i: ideal must be a list"),
+        (
+            {"name": "q", "vars": ["x"], "ideal": ["x^2 - 1"], "points": 5},
+            "q: points must be a list",
+        ),
+        (
+            {
+                "name": "a",
+                "vars": ["x"],
+                "ideal": ["x^2 - 1"],
+                "second": {"algebra": {"builtin": "truncated", "vars": 1, "order": 1}},
+                "alpha": 5,
+            },
+            "a: alpha must be a list of rows",
+        ),
+        (
+            dict(LAW_FIXTURE, name="o", operator={"images": 5}),
+            "o: operator.images must be a JSON object",
+        ),
+        (
+            dict(LAW_FIXTURE, name="e", law="hasse", expect=3),
+            "e: expect must be 'pass' or 'fail', got 3",
+        ),
+        (dict(LAW_FIXTURE, name="l", law=3), "l: law must be a string, got 3"),
+        (
+            {"name": 7, "vars": ["x"], "ideal": ["x^2 - 1"]},
+            "bad.json: name must be a string, got 7",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -431,6 +468,13 @@ def run_cli_process(*args):
         "vars-string",
         "base-string",
         "morphism-empty",
+        "ideal-number",
+        "points-number",
+        "alpha-number",
+        "operator-images-number",
+        "expect-number",
+        "law-number",
+        "name-number",
     ],
 )
 def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):

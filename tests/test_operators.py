@@ -126,6 +126,38 @@ def test_operator_family_decomposes_extension():
     assert family[3](p) == ctx.one()
 
 
+def test_hasse_check_extends_each_input_once(monkeypatch):
+    ctx = base_ctx()
+    alg = truncated_algebra(1, 3)
+    op = RingOperator(
+        alg, ctx, {"t": alg.element(ctx, [ctx.var("t"), ctx.one(), ctx.zero(), ctx.zero()])}
+    )
+    calls = []
+    extend = RingOperator.extend
+    monkeypatch.setattr(
+        RingOperator, "extend", lambda self, poly: calls.append(poly) or extend(self, poly)
+    )
+    trials = 7
+    assert check_hasse_axioms(OperatorFamily(op).maps, ctx, trials=trials, seed=2).ok
+    # x, y and x*y; each is asked about in all four slots
+    assert len(calls) == 3 * trials
+
+
+def test_operator_family_memo_follows_its_input():
+    ctx = base_ctx()
+    op = derivative_operator(ctx)
+    family = OperatorFamily(op)
+    p, q = parse_poly("t^3 - 2*t", ctx), parse_poly("t^2 + 1", ctx)
+    twin = parse_poly("t^3 - 2*t", ctx)
+    assert twin == p and twin is not p
+    for i in range(len(family)):
+        for poly in (p, q, p, twin, q, q, ctx.zero()):
+            assert family[i](poly) == op.extend(poly).slots[i]
+    for poly in (p, q, twin, p):
+        for i in range(len(family)):
+            assert family[i](poly) == op.extend(poly).slots[i]
+
+
 def test_compose_with_trivial_identity():
     ctx = base_ctx()
     e = derivative_operator(ctx)
