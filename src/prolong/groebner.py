@@ -82,25 +82,26 @@ def _reduce(
 ) -> MultiPoly:
     """Remainder of ``poly`` by the ``(leading monomial, divisor)`` table.
 
-    The working terms sit in a heap on the negated order key (a degree and an
-    exponent tuple), computed once per monomial; distinct monomials have
-    distinct keys, so entries never compare monomials.  Every term a step
-    adds is smaller than the one it removes, so a popped monomial never comes
-    back; a cancelled term keeps a zero coefficient and is dropped when popped.
+    The working terms sit in a heap on the negated order key, two ints (the
+    degree and the packed exponents), computed once per monomial; distinct
+    monomials have distinct keys, so entries never compare monomials.  Every
+    term a step adds is smaller than the one it removes, so a popped monomial
+    never comes back; a cancelled term keeps a zero coefficient and is
+    dropped when popped.
     """
     field = poly.ctx.field
     nvars = poly.ctx.nvars
 
-    def entry(m: Monomial) -> tuple:
+    def entry(m: Monomial) -> tuple[int, int, Monomial]:
         degree, rest = key(m, nvars)
-        return (-degree, *(-e for e in rest)), m
+        return -degree, -rest, m
 
     work = dict(poly.coeffs)
     heap = [entry(m) for m in work]
     heapq.heapify(heap)
     remainder: dict[Monomial, object] = {}
     while heap:
-        lm = heapq.heappop(heap)[1]
+        lm = heapq.heappop(heap)[2]
         lc = work.pop(lm)
         if field.is_zero(lc):
             continue
@@ -121,16 +122,6 @@ def _reduce(
         else:
             remainder[lm] = lc
     return MultiPoly(poly.ctx, remainder)
-
-
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: str = "grevlex") -> MultiPoly:
-    fm, fc = _leading(f, order)
-    gm, gc = _leading(g, order)
-    lcm = fm.lcm(gm)
-    field = f.ctx.field
-    left = MultiPoly(f.ctx, {lcm.divide(fm): field.inv(fc)}) * f
-    right = MultiPoly(g.ctx, {lcm.divide(gm): field.inv(gc)}) * g
-    return left - right
 
 
 def groebner(
@@ -184,7 +175,7 @@ def groebner(
             or table[j][0].lcm(h) == lcm
         ]
         pairs += [
-            (lcm.degree(), k, new, lcm)
+            (lcm.deg, k, new, lcm)
             for lcm, k in kept
             if not table[k][0].coprime(h)
         ]

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .scalars import Field
@@ -22,93 +23,129 @@ from .scalars import Field
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-class Monomial:
-    """Sparse exponent vector; zero exponents are never stored."""
+MAX_EXPONENT = (1 << 31) - 1
+_FIELD = (1 << 32) - 1
+_LIMIT = f"the limit {MAX_EXPONENT} (2**31 - 1)"
 
-    __slots__ = ("exps",)
+
+@cache
+def _guard(n: int) -> int:
+    """The top bit of each of the ``n`` lowest 32-bit fields."""
+    return (1 << 32 * n) // _FIELD << 31
+
+
+class Monomial:
+    """Exponent vector packed into one int ``p``, 32 bits per variable: bits
+    ``32*i`` up to ``32*i + 31`` hold the exponent of variable ``i``.  As
+    exponents stay below 2**31, the top bit of each field is a guard bit that
+    sums and differences never carry past; it shows which fields overflowed
+    or borrowed.  ``deg`` is the total degree, ``n`` the highest index + 1."""
+
+    __slots__ = ("p", "deg", "n")
 
     def __init__(self, exps: Iterable[tuple[int, int]] = ()):
-        pairs = tuple(sorted((i, e) for i, e in exps if e != 0))
-        for i, e in pairs:
-            if i < 0 or e < 0:
-                raise ValueError(f"bad monomial entry ({i}, {e})")
-        self.exps = pairs
+        p = deg = seen = 0
+        for i, e in exps:
+            if i < 0 or not 0 <= e <= MAX_EXPONENT:
+                bad = f"bad monomial entry ({i}, {e}); exponents run from 0 to"
+                raise ValueError(f"{bad} {_LIMIT}")
+            if seen >> i & 1:
+                raise ValueError(f"repeated variable index {i} in a monomial")
+            seen |= 1 << i
+            p |= e << 32 * i
+            deg += e
+        self.p, self.deg, self.n = p, deg, (p.bit_length() + 31) >> 5
+
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero ``(index, exponent)`` pairs in index order."""
+        return _fields(self.p)
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return self.deg
 
     def get(self, index: int) -> int:
-        for i, e in self.exps:
-            if i == index:
-                return e
-        return 0
+        return self.p >> 32 * index & _FIELD
 
     def is_one(self) -> bool:
-        return not self.exps
+        return not self.p
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.exps)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        out = dict(self.exps)
-        for i, e in other.exps:
-            out[i] = out.get(i, 0) + e
-        return Monomial(out.items())
+        p, n = self.p + other.p, max(self.n, other.n)
+        deg = self.deg + other.deg
+        if deg > MAX_EXPONENT and p & _guard(n):
+            raise ValueError(f"monomial exponent above {_LIMIT}")
+        return _packed(p, deg, n)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(other.get(i) >= e for i, e in self.exps)
+        if self.deg > other.deg or self.n > other.n:
+            return False
+        g = _guard(other.n)
+        return ((other.p | g) - self.p) & g == g
 
     def divide(self, other: "Monomial") -> "Monomial":
         """Return self / other; other must divide self."""
-        out = dict(self.exps)
-        for i, e in other.exps:
-            have = out.get(i, 0) - e
-            if have < 0:
-                raise ValueError("monomial does not divide")
-            out[i] = have
-        return Monomial(out.items())
+        if not other.divides(self):
+            raise ValueError("monomial does not divide")
+        p = self.p - other.p
+        return _packed(p, self.deg - other.deg, (p.bit_length() + 31) >> 5)
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        out = dict(self.exps)
-        for i, e in other.exps:
-            out[i] = max(out.get(i, 0), e)
-        return Monomial(out.items())
+        n = max(self.n, other.n)
+        a, b, g = self.p, other.p, _guard(n)
+        wins = ((a | g) - b) & g  # guard bits of the fields where a >= b
+        p = b ^ ((a ^ b) & (wins - (wins >> 31)))
+        small = self.deg + other.deg < _FIELD  # then p % _FIELD sums the fields
+        return _packed(p, p % _FIELD if small else sum(e for _, e in _fields(p)), n)
 
     def coprime(self, other: "Monomial") -> bool:
-        mine = set(self.indices())
-        return not any(i in mine for i in other.indices())
-
-    def dense(self, nvars: int) -> tuple[int, ...]:
-        out = [0] * nvars
-        for i, e in self.exps:
-            out[i] = e
-        return tuple(out)
+        return self.lcm(other).p == self.p + other.p  # max equals sum: a 0 per field
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return isinstance(other, Monomial) and self.p == other.p
 
     def __hash__(self) -> int:
-        return hash(self.exps)
+        return hash(self.p)
 
     def __repr__(self) -> str:
         return f"Monomial({list(self.exps)!r})"
 
 
+def _packed(p: int, deg: int, n: int) -> Monomial:
+    m = object.__new__(Monomial)
+    m.p, m.deg, m.n = p, deg, n
+    return m
+
+
+def _fields(p: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero fields, found by stepping from lowest set bit to the next."""
+    out, i = [], 0
+    while p:
+        skip = ((p & -p).bit_length() - 1) >> 5
+        p >>= 32 * skip
+        out.append((i + skip, p & _FIELD))
+        p >>= 32
+        i += skip + 1
+    return tuple(out)
+
+
 MONOMIAL_ONE = Monomial()
 
 
-def grlex_key(m: Monomial, nvars: int) -> tuple:
-    """Graded lexicographic key; larger key means larger monomial."""
-    return (m.degree(), m.dense(nvars))
+def grlex_key(m: Monomial, nvars: int) -> tuple[int, int]:
+    """Graded lexicographic key, variable 0 in the most significant field."""
+    return (m.deg, sum(e << 32 * (nvars - 1 - i) for i, e in m.exps))
 
 
-def grevlex_key(m: Monomial, nvars: int) -> tuple:
+def grevlex_key(m: Monomial, nvars: int) -> tuple[int, int]:
     """Graded reverse lexicographic key; larger key means larger monomial."""
-    dense = m.dense(nvars)
-    return (m.degree(), tuple(-e for e in reversed(dense)))
+    return (m.deg, -m.p)
 
 
-MONOMIAL_ORDERS: dict[str, Callable[[Monomial, int], tuple]] = {
+MONOMIAL_ORDERS: dict[str, Callable[[Monomial, int], tuple[int, int]]] = {
     "grlex": grlex_key,
     "grevlex": grevlex_key,
 }
@@ -239,26 +276,13 @@ class MultiPoly:
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1."""
-        if not self.coeffs:
-            return -1
-        return max(m.degree() for m in self.coeffs)
-
-    def degree_in(self, indices: Iterable[int]) -> int:
-        idx = set(indices)
-        if not self.coeffs:
-            return -1
-        return max(
-            sum(e for i, e in m.exps if i in idx) for m in self.coeffs
-        )
+        return max((m.deg for m in self.coeffs), default=-1)
 
     def coefficient(self, m: Monomial):
         return self.coeffs.get(m, self.ctx.field.zero)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.coeffs:
-            out.update(m.indices())
-        return out
+        return {i for m in self.coeffs for i in m.indices()}
 
     def leading_monomial(self, key: Callable[[Monomial, int], tuple]) -> Monomial:
         if not self.coeffs:
@@ -611,8 +635,7 @@ def substitute(
 def evaluate(poly: MultiPoly, assignment: Mapping[str, object]):
     """Evaluate at scalar values for every variable; returns a scalar."""
     ctx = poly.ctx
-    scalars = {name: ctx.field.coerce(v) for name, v in assignment.items()}
-    consts = {name: ctx.const(v) for name, v in scalars.items()}
+    consts = {name: ctx.const(v) for name, v in assignment.items()}
     missing = [
         ctx.all_vars[i]
         for i in sorted(poly.variables())
@@ -637,9 +660,7 @@ def hasse_derivative(poly: MultiPoly, alpha: Monomial) -> MultiPoly:
     for m, c in poly.coeffs.items():
         if not alpha.divides(m):
             continue
-        mult = 1
-        for i, a in alpha.exps:
-            mult *= comb(m.get(i), a)
+        mult = prod(comb(m.get(i), a) for i, a in alpha.exps)
         coeff = field.mul(c, field.from_int(mult))
         if field.is_zero(coeff):
             continue
@@ -663,29 +684,8 @@ def compositions(total: int, slots: int) -> list[tuple[int, ...]]:
 def exponents_up_to(slots: int, bound: int, include_zero: bool = False) -> list[tuple[int, ...]]:
     """Exponent tuples with 0 < total <= bound (or 0 <= total if asked),
     ordered by total degree then descending lexicographically."""
-    start = 0 if include_zero else 1
-    out: list[tuple[int, ...]] = []
-    for d in range(start, bound + 1):
-        out.extend(compositions(d, slots))
-    return out
-
-
-def taylor_shift(poly: MultiPoly, bound: int) -> list[tuple[Monomial, MultiPoly]]:
-    """Divided-power coefficients of the shift P(x + z) up to total degree
-    ``bound`` in the scheme variables.
-
-    Returns (alpha, D^alpha P) pairs ordered by degree then lexicographically;
-    zero derivatives beyond alpha = 0 are dropped.
-    """
-    ctx = poly.ctx
-    nscheme = len(ctx.scheme_vars)
-    out: list[tuple[Monomial, MultiPoly]] = [(MONOMIAL_ONE, poly)]
-    for exp in exponents_up_to(nscheme, bound):
-        alpha = Monomial((i, e) for i, e in enumerate(exp))
-        d = hasse_derivative(poly, alpha)
-        if not d.is_zero():
-            out.append((alpha, d))
-    return out
+    degrees = range(0 if include_zero else 1, bound + 1)
+    return [exp for d in degrees for exp in compositions(d, slots)]
 
 
 # -- seeded random polynomials --------------------------------------------------

@@ -7,7 +7,126 @@ term-by-term expansion) and on purpose shares no code with the package.
 from fractions import Fraction
 from math import factorial, lcm
 
-from prolong.polynomials import MONOMIAL_ORDERS, Monomial, MultiPoly
+from prolong.polynomials import (
+    MONOMIAL_ONE,
+    MONOMIAL_ORDERS,
+    Monomial,
+    MultiPoly,
+    exponents_up_to,
+    hasse_derivative,
+)
+
+
+class ReferenceMonomial:
+    """Sorted (index, exponent) pairs; zero exponents are never stored.
+    Every operation rebuilds a dict or scans the pairs."""
+
+    __slots__ = ("exps",)
+
+    def __init__(self, exps=()):
+        pairs = tuple(sorted((i, e) for i, e in exps if e != 0))
+        for i, e in pairs:
+            if i < 0 or e < 0:
+                raise ValueError(f"bad monomial entry ({i}, {e})")
+        self.exps = pairs
+
+    def degree(self) -> int:
+        return sum(e for _, e in self.exps)
+
+    def get(self, index: int) -> int:
+        for i, e in self.exps:
+            if i == index:
+                return e
+        return 0
+
+    def indices(self) -> tuple:
+        return tuple(i for i, _ in self.exps)
+
+    def mul(self, other):
+        out = dict(self.exps)
+        for i, e in other.exps:
+            out[i] = out.get(i, 0) + e
+        return ReferenceMonomial(out.items())
+
+    def divides(self, other) -> bool:
+        return all(other.get(i) >= e for i, e in self.exps)
+
+    def divide(self, other):
+        out = dict(self.exps)
+        for i, e in other.exps:
+            have = out.get(i, 0) - e
+            if have < 0:
+                raise ValueError("monomial does not divide")
+            out[i] = have
+        return ReferenceMonomial(out.items())
+
+    def lcm(self, other):
+        out = dict(self.exps)
+        for i, e in other.exps:
+            out[i] = max(out.get(i, 0), e)
+        return ReferenceMonomial(out.items())
+
+    def coprime(self, other) -> bool:
+        mine = set(self.indices())
+        return not any(i in mine for i in other.indices())
+
+    def dense(self, nvars: int) -> tuple:
+        out = [0] * nvars
+        for i, e in self.exps:
+            out[i] = e
+        return tuple(out)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ReferenceMonomial) and self.exps == other.exps
+
+    def __hash__(self) -> int:
+        return hash(self.exps)
+
+
+def reference_grlex_key(m: ReferenceMonomial, nvars: int) -> tuple:
+    return (m.degree(), m.dense(nvars))
+
+
+def reference_grevlex_key(m: ReferenceMonomial, nvars: int) -> tuple:
+    return (m.degree(), tuple(-e for e in reversed(m.dense(nvars))))
+
+
+def degree_in(poly: MultiPoly, indices) -> int:
+    """Largest total degree of a term in the variables ``indices``; -1 for
+    the zero polynomial."""
+    idx = set(indices)
+    if not poly.coeffs:
+        return -1
+    return max(sum(e for i, e in m.exps if i in idx) for m in poly.coeffs)
+
+
+def taylor_shift(poly: MultiPoly, bound: int) -> list:
+    """Divided-power coefficients of the shift P(x + z) up to total degree
+    ``bound`` in the scheme variables.
+
+    Returns (alpha, D^alpha P) pairs ordered by degree then lexicographically;
+    zero derivatives beyond alpha = 0 are dropped.
+    """
+    nscheme = len(poly.ctx.scheme_vars)
+    out = [(MONOMIAL_ONE, poly)]
+    for exp in exponents_up_to(nscheme, bound):
+        alpha = Monomial((i, e) for i, e in enumerate(exp))
+        d = hasse_derivative(poly, alpha)
+        if not d.is_zero():
+            out.append((alpha, d))
+    return out
+
+
+def s_polynomial(f: MultiPoly, g: MultiPoly, order: str = "grevlex") -> MultiPoly:
+    """S-polynomial of ``f`` and ``g``: both leading terms scaled to their
+    lcm with coefficient one, then subtracted."""
+    key = MONOMIAL_ORDERS[order]
+    fm, gm = f.leading_monomial(key), g.leading_monomial(key)
+    lcm = fm.lcm(gm)
+    field = f.ctx.field
+    left = MultiPoly(f.ctx, {lcm.divide(fm): field.inv(f.coeffs[fm])}) * f
+    right = MultiPoly(g.ctx, {lcm.divide(gm): field.inv(g.coeffs[gm])}) * g
+    return left - right
 
 
 def partial_derivative(poly: MultiPoly, index: int) -> MultiPoly:

@@ -486,3 +486,12 @@ def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, messag
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert message in done.stdout
+
+
+def test_exponent_above_the_limit_exits_two_without_traceback(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vars": ["x"], "ideal": ["x^2147483648"]}))
+    done = run_cli_process("check", "--input", big, "--suite", "surjectivity")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "limit 2147483647 (2**31 - 1)" in done.stdout

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_groebner, reference_normal_form
+from helpers import reference_groebner, reference_normal_form, s_polynomial
 from prolong.scalars import GF, QQ
 from prolong.polynomials import (
     Monomial,
@@ -27,7 +27,6 @@ from prolong.groebner import (
     matrix_product,
     normal_form,
     rank,
-    s_polynomial,
     solve_linear,
 )
 

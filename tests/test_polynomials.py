@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prolong.scalars import GF, QQ
 from prolong.polynomials import (
+    MAX_EXPONENT,
     MONOMIAL_ONE,
     Monomial,
     MultiPoly,
@@ -21,10 +24,15 @@ from prolong.polynomials import (
     poly_to_str,
     random_poly,
     substitute,
-    taylor_shift,
     transport,
 )
-from helpers import divided_power_oracle
+from helpers import (
+    ReferenceMonomial,
+    divided_power_oracle,
+    reference_grevlex_key,
+    reference_grlex_key,
+    taylor_shift,
+)
 
 
 def test_field_basics():
@@ -68,6 +76,106 @@ def test_monomial_orders():
     yy = Monomial(((1, 2),))
     assert grlex_key(xz, 3) > grlex_key(yy, 3)
     assert grevlex_key(yy, 3) > grevlex_key(xz, 3)
+
+
+def test_monomial_limits_and_repeated_indices():
+    limit = r"limit 2147483647 \(2\*\*31 - 1\)"
+    with pytest.raises(ValueError, match=limit):
+        Monomial([(3, MAX_EXPONENT + 1)])
+    top = Monomial([(0, MAX_EXPONENT)])
+    with pytest.raises(ValueError, match=limit):
+        top.mul(Monomial([(0, 1)]))
+    assert top.mul(Monomial([(1, 1)])).exps == ((0, MAX_EXPONENT), (1, 1))
+    with pytest.raises(ValueError, match="repeated variable index 0"):
+        Monomial([(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="repeated variable index 2"):
+        Monomial([(2, 0), (1, 1), (2, 3)])
+    ctx = RingContext(QQ, scheme_vars=("x", "y"))
+    assert parse_poly("x^2147483647", ctx) == ctx.monomial({"x": MAX_EXPONENT})
+    for text in ("x^2147483648", "y*x^2147483647*x", "x^3000000000"):
+        with pytest.raises(ValueError, match=limit):
+            parse_poly(text, ctx)
+
+
+# Sparse exponent vectors over indices 0..40: small exponents make equal
+# degrees and divisibility common, large ones reach the 2**31 - 1 limit.
+NVARS = 41
+exponents = st.one_of(
+    st.integers(0, 3), st.integers(0, MAX_EXPONENT), st.just(MAX_EXPONENT)
+)
+vectors = st.dictionaries(st.integers(0, NVARS - 1), exponents, max_size=6)
+monomial_cases = settings(max_examples=200, deadline=None)
+
+
+def both(vector):
+    return Monomial(vector.items()), ReferenceMonomial(vector.items())
+
+
+def cmp(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+@monomial_cases
+@given(vectors)
+def test_monomial_decodes_like_the_reference(vector):
+    m, ref = both(vector)
+    assert m.exps == ref.exps
+    assert m.degree() == ref.degree()
+    assert m.indices() == ref.indices()
+    assert [m.get(i) for i in range(NVARS + 2)] == [
+        ref.get(i) for i in range(NVARS + 2)
+    ]
+    assert m.is_one() == (not ref.exps)
+    assert m == Monomial(reversed(list(vector.items())))
+    assert Monomial(m.exps) == m
+
+
+@monomial_cases
+@given(vectors, vectors, st.booleans())
+def test_monomial_operations_match_the_reference(u, v, multiple):
+    if multiple:  # a componentwise multiple of u, so that u divides v
+        v = {
+            i: min(MAX_EXPONENT, u.get(i, 0) + v.get(i, 0))
+            for i in u.keys() | v.keys()
+        }
+    a, ra = both(u)
+    b, rb = both(v)
+    product = ra.mul(rb)
+    if any(e > MAX_EXPONENT for _, e in product.exps):
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            a.mul(b)
+    else:
+        assert a.mul(b).exps == product.exps
+        assert a.mul(b).degree() == product.degree()
+    assert a.divides(b) == ra.divides(rb)
+    assert b.divides(a) == rb.divides(ra)
+    if rb.divides(ra):
+        assert a.divide(b).exps == ra.divide(rb).exps
+        assert a.divide(b).degree() == ra.divide(rb).degree()
+    else:
+        with pytest.raises(ValueError, match="does not divide"):
+            a.divide(b)
+    assert a.lcm(b).exps == ra.lcm(rb).exps
+    assert a.lcm(b).degree() == ra.lcm(rb).degree()
+    assert a.coprime(b) == ra.coprime(rb)
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@monomial_cases
+@given(st.lists(vectors, max_size=6))
+def test_monomial_orders_match_the_reference(vecs):
+    cases = [both(v) for v in vecs]
+    for key, ref_key in (
+        (grevlex_key, reference_grevlex_key),
+        (grlex_key, reference_grlex_key),
+    ):
+        for m, ref in cases:
+            for n, ref_n in cases:
+                assert cmp(key(m, NVARS), key(n, NVARS)) == cmp(
+                    ref_key(ref, NVARS), ref_key(ref_n, NVARS)
+                )
 
 
 def test_context_validation():
