@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end."""
 
+import hashlib
 import json
 import os
 import random
@@ -10,11 +11,15 @@ from pathlib import Path
 import pytest
 
 import prolong
+import prolong.interpolation as interpolation
+import prolong.prolongations as prolongations
 from prolong.cli import main
 from prolong.fixtures import FixtureError, load_fixture, load_fixtures
 from prolong.groebner import EngineLimitError
+from prolong.scalars import Field
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(capsys, *args):
@@ -270,6 +275,196 @@ def test_corrupted_operator_fails_its_law_with_a_witness(capsys, tmp_path):
     suite = payload["suites"][0]
     assert suite["witness"]["fixture"] == "hasse_corrupt"
     assert suite["witness"]["witness"]["law"] == "identity"
+
+
+def _edited_fixture(tmp_path, name, **fields):
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    data.update(fields)
+    target = tmp_path / f"{name}.json"
+    target.write_text(json.dumps(data))
+    return target
+
+
+def _shift_slot_zero(monkeypatch):
+    """Corrupt prolong_morphism: every expanded coordinate gains 1 in slot 0."""
+    real = prolongations.expand_with_operator
+
+    def shifted(poly, *args):
+        out = real(poly, *args)
+        return out + out.algebra.unit(out.ctx)
+
+    monkeypatch.setattr(prolongations, "expand_with_operator", shifted)
+
+
+def _swap_composition(monkeypatch):
+    """Corrupt prolong_composed: compose the operators in the wrong order."""
+    real = prolongations.compose_operators
+    monkeypatch.setattr(prolongations, "compose_operators", lambda e, f: real(f, e))
+
+
+def _zero_fiber_images(monkeypatch):
+    """Corrupt check_surjectivity: phi sends every kernel vector to zero."""
+    monkeypatch.setattr(
+        interpolation, "apply_matrix", lambda m, v: [m.field.zero] * m.nrows
+    )
+
+
+def _double_printed_scalars(monkeypatch):
+    """Corrupt poly_to_str: every printed coefficient is doubled."""
+    monkeypatch.setattr(Field, "format", lambda self, a: str(2 * a))
+
+
+NON_COMMUTING_SECOND = {
+    "algebra": {"builtin": "truncated", "vars": 1, "order": 1},
+    "operator": {"images": {"t": ["t", "t"]}},
+}
+
+
+@pytest.mark.parametrize(
+    "suite, fixture, edits, corrupt, trials, witness",
+    [
+        (
+            "functor_laws",
+            "cubic_chart",
+            {},
+            _shift_slot_zero,
+            2,
+            {
+                "law": "prolongation of the identity",
+                "value": "u_0 + 1",
+                "variable": "u_0",
+            },
+        ),
+        (
+            "nabla_naturality",
+            "cubic_chart",
+            {},
+            _shift_slot_zero,
+            2,
+            {
+                "law": "naturality",
+                "point": {"u": "1/3"},
+                "residual": "not a point: generator 0 leaves residual -2/3",
+                "trial": 0,
+            },
+        ),
+        (
+            "composition",
+            "compose_pair",
+            {"second": NON_COMMUTING_SECOND},
+            _swap_composition,
+            2,
+            {
+                "law": "composed ideal equals the iterated ideal",
+                "composed": [
+                    "x_0^2 - t",
+                    "2*x_0*x_1 - 1",
+                    "2*x_0*x_2 - t",
+                    "2*x_0*x_3 + 2*x_1*x_2 - 1",
+                ],
+                "iterated": [
+                    "x_0_0^2 - t",
+                    "2*x_0_0*x_0_1 - t",
+                    "2*x_0_0*x_1_0 - 1",
+                    "2*x_0_0*x_1_1 + 2*x_0_1*x_1_0",
+                ],
+            },
+        ),
+        (
+            "comparison",
+            "compare_quotient",
+            {"alpha": [["0", "0", "0"], ["0", "1", "0"]]},
+            None,
+            2,
+            {
+                "law": "algebra map validation",
+                "reason": "unit is not preserved: image of e_0 is"
+                " [Fraction(0, 1), Fraction(0, 1)]",
+            },
+        ),
+        (
+            "interpolation_diagrams",
+            "compose_pair",
+            {},
+            _shift_slot_zero,
+            2,
+            {
+                "law": "composition triangle",
+                "order": 1,
+                "variable": "x_0",
+                "difference": "-1",
+            },
+        ),
+        (
+            "surjectivity",
+            "conic",
+            {},
+            _zero_fiber_images,
+            1,
+            {
+                "law": "fiberwise surjectivity",
+                "algebra": "truncated(1,1)",
+                "order": 1,
+                "point": {"x": "3/5", "y": "4/5"},
+                "reason": "image spans 0 of 2 fiber directions",
+            },
+        ),
+        (
+            "roundtrip",
+            "conic",
+            {},
+            _double_printed_scalars,
+            1,
+            {"law": "parse after print", "polynomial": "x^2 + y^2 - 2"},
+        ),
+    ],
+)
+def test_each_suite_reports_its_first_violation(
+    capsys, monkeypatch, tmp_path, suite, fixture, edits, corrupt, trials, witness
+):
+    """A corrupted fixture or step fails the suite with the pinned witness."""
+    target = _edited_fixture(tmp_path, fixture, **edits)
+    if corrupt is not None:
+        corrupt(monkeypatch)
+    code, payload = run_json(
+        capsys, "check", "--suite", suite, "--input", target, "--trials", trials
+    )
+    assert code == 1
+    assert payload["status"] == "fail"
+    report = payload["suites"][0]
+    assert (report["fails"], report["passes"]) == (1, 0)
+    assert report["fixtures"] == [
+        {"fixture": fixture, "status": "fail", "witness": witness}
+    ]
+    assert report["witness"] == dict(witness, fixture=fixture)
+
+
+SYMBOLIC_SUITES = [
+    "functor_laws",
+    "nabla_naturality",
+    "composition",
+    "comparison",
+    "hasse_axioms",
+    "interpolation_diagrams",
+    "roundtrip",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_symbolic_reports_match_the_recorded_digests(capsys, seed):
+    """Reports at the default trials stay byte-identical to the ones the
+    benchmark recorded in perfbench/expected.json."""
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    recorded = expected["symbolic_digests"][str(seed)]
+    digests = {}
+    for suite in SYMBOLIC_SUITES:
+        code, out = run_cli(
+            capsys, "check", "--suite", suite, "--input", FIXTURES,
+            "--seed", seed, "--format", "json",
+        )
+        assert code == 0
+        digests[suite] = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert digests == recorded
 
 
 def test_expected_failures_keep_the_suite_green(capsys):
