@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .algebra import AlgebraScheme, make_builtin
 from .operators import RingOperator
-from .polynomials import MultiPoly, RingContext, parse_poly, substitute
+from .polynomials import RingContext, parse_poly, substitute
 from .scalars import QQ
 from .weil import AffineScheme, PolyMorphism, SchemePoint
 
@@ -95,7 +95,7 @@ class Fixture:
 
 
 def _typed(value, name: str, field: str, kind=dict, what: str = "a JSON object"):
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise FixtureError(f"{name}: {field} must be {what}, got {value!r}")
     return value
 
@@ -104,6 +104,31 @@ def _names(value, name: str, field: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise FixtureError(f"{name}: {field} must be a list of names, got {value!r}")
     return tuple(value)
+
+
+_SCALAR = ((int, str), "an integer or a string")
+# each builtin algebra's spec fields and what each must be
+_BUILTIN_FIELDS = {
+    "truncated": {"vars": (int, "an integer"), "order": (int, "an integer")},
+    "product": {"n": (int, "an integer")},
+    "dring": {"c": _SCALAR},
+}
+
+
+def make_algebra(spec, name: str, field: str) -> AlgebraScheme:
+    """Algebra from its JSON spec (see ``make_builtin``); the spec's shape
+    is checked first, so errors name the fixture and the dotted field."""
+    spec = _typed(spec, name, field)
+    if "builtin" in spec:
+        for key, (kind, what) in _BUILTIN_FIELDS.get(spec["builtin"], {}).items():
+            _typed(spec.get(key), name, f"{field}.{key}", kind, what)
+    elif "basis" in spec and "mult" in spec:
+        _typed(spec["basis"], name, f"{field}.basis", list, "a list of labels")
+        for row in _typed(spec["mult"], name, f"{field}.mult", list, "a list of rows"):
+            for cell in _typed(row, name, f"{field}.mult row", list, "a list of cells"):
+                for c in _typed(cell, name, f"{field}.mult cell", list, "a list"):
+                    _typed(c, name, f"{field}.mult entry", *_SCALAR)
+    return make_builtin(spec)
 
 
 def _parse_alpha(rows, name: str) -> list:
@@ -148,16 +173,14 @@ def load_fixture(path) -> Fixture:
     if not isinstance(data, dict):
         raise FixtureError(f"{path}: a fixture must be a JSON object")
     name = _typed(data.get("name", path.stem), str(path), "name", str, "a string")
-    dim = data.get("dim")
-    if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
-        raise FixtureError(f"{name}: dim must be an integer, got {dim!r}")
+    dim = _typed(data.get("dim"), name, "dim", (int, type(None)), "an integer")
     base = _names(data.get("base", []), name, "base")
     scheme_vars = _names(data.get("vars", []), name, "vars")
     ctx = RingContext(QQ, scheme_vars=scheme_vars, base_gens=base)
     base_ctx = RingContext(QQ, base_gens=base)
     algebra = operator = None
     if "algebra" in data:
-        algebra = make_builtin(data["algebra"])
+        algebra = make_algebra(data["algebra"], name, "algebra")
         operator = make_operator(algebra, base_ctx, data.get("operator"), name)
     entries = _typed(data.get("ideal", []), name, "ideal", list, "a list")
     if any(not isinstance(e, str) for e in entries):
@@ -184,9 +207,7 @@ def load_fixture(path) -> Fixture:
     second_algebra = second_operator = None
     if "second" in data:
         second = _typed(data["second"], name, "second")
-        second_algebra = make_builtin(
-            _typed(second.get("algebra"), name, "second.algebra")
-        )
+        second_algebra = make_algebra(second.get("algebra"), name, "second.algebra")
         second_operator = make_operator(
             second_algebra, base_ctx, second.get("operator"), name, "second.operator"
         )

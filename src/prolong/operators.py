@@ -83,10 +83,6 @@ class RingOperator:
         return f"RingOperator({self.algebra.name}; {body})"
 
 
-def extend_operator(op: RingOperator, poly: MultiPoly) -> AlgebraElement:
-    return op.extend(poly)
-
-
 def standard_operator(algebra: AlgebraScheme, ctx: RingContext) -> RingOperator:
     """The inclusion into slot zero: g maps to g * e_0."""
     images = {g: algebra.scalar(ctx, ctx.var(g)) for g in ctx.base_gens}
@@ -185,14 +181,15 @@ def check_hasse_axioms(
     family: Sequence[Callable[[MultiPoly], MultiPoly]],
     ctx: RingContext,
     trials: int = 100,
-    seed: int = 0,
+    seed: int | Random = 0,
 ) -> CheckResult:
     """D_0 = id plus the convolution Leibniz rule on seeded random pairs.
 
     Checks D_m(xy) = sum over a+b=m of D_a(x) D_b(y) for every index m of the
-    family; returns the first violating pair as a witness.
+    family; returns the first violating pair as a witness.  ``seed`` is an
+    int or a ``Random`` to draw the pairs from.
     """
-    rng = Random(seed)
+    rng = seed if isinstance(seed, Random) else Random(seed)
     for trial in range(trials):
         x = random_poly(ctx, rng, allow_zero=True)
         y = random_poly(ctx, rng, allow_zero=True)
@@ -219,11 +216,14 @@ def check_dring_law(
     c,
     ctx: RingContext,
     trials: int = 100,
-    seed: int = 0,
+    seed: int | Random = 0,
 ) -> CheckResult:
-    """Additivity plus the twisted Leibniz rule D(xy) = xD(y) + D(x)y + cD(x)D(y)."""
+    """Additivity plus the twisted Leibniz rule D(xy) = xD(y) + D(x)y + cD(x)D(y).
+
+    ``seed`` is an int or a ``Random`` to draw the pairs from.
+    """
     c_scalar = ctx.const(c)
-    rng = Random(seed)
+    rng = seed if isinstance(seed, Random) else Random(seed)
     for trial in range(trials):
         x = random_poly(ctx, rng, allow_zero=True)
         y = random_poly(ctx, rng, allow_zero=True)

@@ -102,14 +102,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.inv(self.pow(a, -n))
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -29,7 +29,7 @@ class PointError(ValueError):
     def __init__(self, residuals: list):
         index, residual = residuals[0]
         super().__init__(
-            f"not a point: generator {index} leaves residual {_render(residual)}"
+            f"not a point: generator {index} leaves residual {render_value(residual)}"
         )
         self.residuals = residuals
 
@@ -39,7 +39,8 @@ class NotScalarPointError(ValueError):
     fiber needs a constant; specialize the base first."""
 
 
-def _render(value) -> str:
+def render_value(value) -> str:
+    """A polynomial, or an algebra element as its tuple of slots, printed."""
     if isinstance(value, MultiPoly):
         return poly_to_str(value)
     return "(" + ", ".join(poly_to_str(s) for s in value.slots) + ")"
@@ -150,7 +151,7 @@ class SchemePoint:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{k}={_render(v)}" for k, v in sorted(self.assignment.items())
+            f"{k}={render_value(v)}" for k, v in sorted(self.assignment.items())
         )
         return f"<point {body}>"
 
@@ -368,15 +369,6 @@ class PolyMorphism:
             ideal_member(self.pullback(g), gb, pair_limit=pair_limit)
             for g in self.target.generators
         )
-
-    def validate(self, pair_limit: int = DEFAULT_PAIR_LIMIT) -> None:
-        gb = groebner(self.source.generators, pair_limit=pair_limit)
-        for i, g in enumerate(self.target.generators):
-            if not ideal_member(self.pullback(g), gb, pair_limit=pair_limit):
-                raise ValueError(
-                    f"target generator {i} does not pull back into the source"
-                    f" ideal: {poly_to_str(self.pullback(g))}"
-                )
 
     def apply_to_point(self, point: SchemePoint) -> SchemePoint:
         if point.scheme is not self.source and point.scheme.ctx != self.source.ctx:

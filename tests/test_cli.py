@@ -458,10 +458,8 @@ def test_symbolic_reports_match_the_recorded_digests(capsys, seed):
     recorded = expected["symbolic_digests"][str(seed)]
     digests = {}
     for suite in SYMBOLIC_SUITES:
-        code, out = run_cli(
-            capsys, "check", "--suite", suite, "--input", FIXTURES,
-            "--seed", seed, "--format", "json",
-        )
+        args = ("check", "--suite", suite, "--input", FIXTURES, "--seed", seed)
+        code, out = run_cli(capsys, *args, "--format", "json")
         assert code == 0
         digests[suite] = hashlib.sha256(out.encode()).hexdigest()[:16]
     assert digests == recorded
@@ -504,12 +502,12 @@ def test_singular_points_are_skipped_not_failed(capsys, tmp_path):
 
 
 def test_resource_cap_maps_to_inconclusive(capsys, monkeypatch):
-    import prolong.cli as cli
+    import prolong.laws as laws
 
     def capped(*args, **kwargs):
         raise EngineLimitError(1)
 
-    monkeypatch.setattr(cli, "ideal_equal", capped)
+    monkeypatch.setattr(laws, "ideal_equal", capped)
     code, payload = run_json(
         capsys,
         "check",
@@ -652,6 +650,43 @@ LAW_FIXTURE = {
             {"name": 7, "vars": ["x"], "ideal": ["x^2 - 1"]},
             "bad.json: name must be a string, got 7",
         ),
+        (
+            dict(LAW_FIXTURE, name="c", algebra={"basis": ["1"], "mult": 5}),
+            "c: algebra.mult must be a list of rows, got 5",
+        ),
+        (
+            dict(LAW_FIXTURE, name="c", algebra={"basis": ["1"], "mult": [5]}),
+            "c: algebra.mult row must be a list of cells, got 5",
+        ),
+        (
+            dict(LAW_FIXTURE, name="c", algebra={"basis": ["1"], "mult": [[5]]}),
+            "c: algebra.mult cell must be a list, got 5",
+        ),
+        (
+            dict(LAW_FIXTURE, name="c", algebra={"basis": ["1"], "mult": [[[1.5]]]}),
+            "c: algebra.mult entry must be an integer or a string, got 1.5",
+        ),
+        (
+            dict(LAW_FIXTURE, name="c", algebra={"basis": 5, "mult": [[[1]]]}),
+            "c: algebra.basis must be a list of labels, got 5",
+        ),
+        (
+            dict(LAW_FIXTURE, name="t", algebra={"builtin": "truncated", "vars": 1}),
+            "t: algebra.order must be an integer, got None",
+        ),
+        (
+            {
+                "name": "t",
+                "vars": ["x"],
+                "ideal": ["x^2 - 1"],
+                "second": {"algebra": {"builtin": "truncated", "vars": 1}},
+            },
+            "t: second.algebra.order must be an integer, got None",
+        ),
+        (
+            dict(LAW_FIXTURE, name="d", algebra={"builtin": "dring", "c": 0.5}),
+            "d: algebra.c must be an integer or a string, got 0.5",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -670,6 +705,14 @@ LAW_FIXTURE = {
         "expect-number",
         "law-number",
         "name-number",
+        "algebra-mult-number",
+        "algebra-mult-row-number",
+        "algebra-mult-cell-number",
+        "algebra-mult-entry-float",
+        "algebra-basis-number",
+        "algebra-order-missing",
+        "second-algebra-order-missing",
+        "algebra-c-float",
     ],
 )
 def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):

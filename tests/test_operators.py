@@ -20,7 +20,6 @@ from prolong.operators import (
     check_hasse_axioms,
     compose_operators,
     expand_with_operator,
-    extend_operator,
     standard_operator,
 )
 
@@ -46,7 +45,7 @@ def test_standard_operator_is_slot_zero_inclusion():
     ctx = base_ctx()
     s = standard_operator(dual_numbers(), ctx)
     p = parse_poly("t^3 - 2*t", ctx)
-    assert extend_operator(s, p).slots == (p, ctx.zero())
+    assert s.extend(p).slots == (p, ctx.zero())
 
 
 def test_difference_operator_slots():
