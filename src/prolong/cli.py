@@ -11,8 +11,7 @@ import argparse
 import json
 import random
 import zlib
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import laws
@@ -21,32 +20,41 @@ from .fixtures import (
     FixtureError,
     load_fixture,
     load_fixtures,
-    make_algebra,
-    make_operator,
+    read_alpha,
+    read_operator,
+    read_point,
 )
 from .groebner import EngineLimitError
 from .interpolation import check_surjectivity, fiber_matrices_at, interpolation_map
 from .jets import jet_fiber, jet_scheme
-from .polynomials import ParseError, RingContext, parse_poly, poly_to_str
+from .polynomials import poly_to_str
 from .prolongations import (
+    AlgebraMapError,
     compare_map,
     nabla,
     prolong,
     prolong_composed,
     validate_algebra_map,
 )
-from .weil import AffineScheme, PointError, SchemePoint, render_value, weil_restrict
+from .weil import AffineScheme, PointError, render_value, weil_restrict
 
 
 class UsageError(ValueError):
     pass
 
 
-def _single_fixture(path_text: str) -> Fixture:
+def _single_fixture(path_text: str, plain: bool = True) -> Fixture:
+    """The one fixture a command reads; ``plain`` refuses algebra coefficients."""
     path = Path(path_text)
     if path.is_dir():
         raise UsageError(f"{path}: this command needs a single fixture file")
-    return load_fixture(path)
+    fx = load_fixture(path)
+    if plain and fx.scheme.is_algebra_mode:
+        raise UsageError(
+            f"fixture {fx.name!r} has algebra coefficients;"
+            " this command needs a plain scheme"
+        )
+    return fx
 
 
 def _need(fixture: Fixture, attr: str, what: str):
@@ -56,33 +64,12 @@ def _need(fixture: Fixture, attr: str, what: str):
     return value
 
 
-def _load_json(path_text: str) -> dict:
-    return json.loads(Path(path_text).read_text(encoding="utf-8"))
-
-
-def _load_point(path_text: str, scheme: AffineScheme) -> SchemePoint:
-    data = _load_json(path_text)
-    if "point" in data:
-        data = data["point"]
-    assignment = {k: parse_poly(str(v), scheme.ctx) for k, v in data.items()}
-    return SchemePoint(scheme, assignment)
-
-
-def _load_operator_file(path_text: str, base_ctx: RingContext):
-    data = _load_json(path_text)
-    algebra = make_algebra(data["algebra"], path_text, "algebra")
-    return make_operator(algebra, base_ctx, data, path_text)
-
-
-def _render_residuals(err: PointError) -> list:
-    return [{"generator": i, "residual": render_value(v)} for i, v in err.residuals]
-
-
-def _matrix_payload(matrix) -> dict:
-    return {
-        "cols": list(matrix.col_labels),
-        "rows": [[str(v) for v in row] for row in matrix.rows],
-    }
+def _matrix_report(tag: str, matrix, lines: list) -> dict:
+    """A matrix's payload; its text lines, headed by ``tag``, go to ``lines``."""
+    cols, rows = list(matrix.col_labels), [[str(v) for v in r] for r in matrix.rows]
+    lines.append(f"{tag} columns: " + ", ".join(cols))
+    lines.extend("[" + ", ".join(row) + "]" for row in rows)
+    return {"cols": cols, "rows": rows}
 
 
 def _scheme_report(payload: dict, head: str, scheme: AffineScheme):
@@ -102,8 +89,8 @@ def _sub_seed(suite: str, name: str, seed: int) -> int:
 
 
 def cmd_weil(args):
-    fx = _single_fixture(args.input)
-    algebra = _need(fx, "algebra", "algebra")
+    fx = _single_fixture(args.input, plain=False)
+    algebra = _need(fx, "operator", "algebra").algebra
     scheme = fx.scheme
     if not scheme.is_algebra_mode:
         lifted = [algebra.scalar(scheme.ctx, g) for g in scheme.generators]
@@ -118,7 +105,7 @@ def cmd_prolong(args):
     operator = _need(fx, "operator", "operator")
     payload = {"command": "prolong"}
     if args.compose:
-        second = _load_operator_file(args.compose, operator.ctx)
+        second = read_operator(args.compose, operator.ctx)
         result = prolong_composed(fx.scheme, operator, second)
         payload["renaming"] = dict(sorted(result.renaming.items()))
         payload["algebra"] = result.algebra.name
@@ -134,13 +121,10 @@ def cmd_jet(args):
     payload = {"command": "jet", "order": args.order}
     code, payload, lines = _scheme_report(payload, f"order: {args.order}", jet.scheme)
     if args.at:
-        point = _load_point(args.at, fx.scheme)
+        point = read_point(args.at, fx.scheme)
         fiber = jet_fiber(fx.scheme, args.order, point, jet=jet)
-        payload["fiber"] = _matrix_payload(fiber.matrix)
+        payload["fiber"] = _matrix_report("fiber", fiber.matrix, lines)
         payload["fiber_dimension"] = fiber.dimension
-        lines.append("fiber columns: " + ", ".join(fiber.columns))
-        for row in payload["fiber"]["rows"]:
-            lines.append("[" + ", ".join(row) + "]")
         lines.append(f"fiber dimension: {fiber.dimension}")
     return code, payload, lines
 
@@ -148,7 +132,7 @@ def cmd_jet(args):
 def cmd_nabla(args):
     fx = _single_fixture(args.input)
     operator = _need(fx, "operator", "operator")
-    point = _load_point(args.at, fx.scheme)
+    point = read_point(args.at, fx.scheme)
     image = nabla(fx.scheme, operator, point)
     payload = {
         "command": "nabla",
@@ -163,7 +147,7 @@ def cmd_compose(args):
     fx = _single_fixture(args.input)
     operator = _need(fx, "operator", "operator")
     if args.compose:
-        second = _load_operator_file(args.compose, operator.ctx)
+        second = read_operator(args.compose, operator.ctx)
     else:
         second = _need(fx, "second_operator", "second operator")
     result = prolong_composed(fx.scheme, operator, second)
@@ -197,14 +181,12 @@ def cmd_compare(args):
     operator = _need(fx, "operator", "operator")
     second = _need(fx, "second_operator", "second operator")
     if args.alpha:
-        data = _load_json(args.alpha)
-        rows = data["alpha"] if isinstance(data, dict) else data
-        alpha = [[Fraction(str(v)) for v in row] for row in rows]
+        alpha = read_alpha(args.alpha)
     else:
         alpha = _need(fx, "alpha", "alpha matrix")
     try:
         validate_algebra_map(alpha, operator, second)
-    except ValueError as err:
+    except AlgebraMapError as err:
         payload = {"command": "compare", "status": "fail", "witness": str(err)}
         return 1, payload, [f"FAIL: {err}"]
     hat = compare_map(fx.scheme, alpha, operator, second)
@@ -237,17 +219,11 @@ def cmd_interpolate(args):
     if args.check_surjectivity:
         if not args.at or args.dim is None:
             raise UsageError("--check-surjectivity needs --at and --dim")
-        point = _load_point(args.at, fx.scheme)
+        point = read_point(args.at, fx.scheme)
         report = check_surjectivity(
             fx.scheme, args.order, operator, point, args.dim, interpolation=imap
         )
-        payload["surjectivity"] = {
-            "status": report.status,
-            "reason": report.reason,
-            "source_kernel": report.source_kernel,
-            "target_kernel": report.target_kernel,
-            "image_rank": report.image_rank,
-        }
+        payload["surjectivity"] = asdict(report)
         tag = report.status.upper()
         lines.append(f"surjectivity: {tag} {report.reason}".rstrip())
         lines.append(
@@ -257,23 +233,15 @@ def cmd_interpolate(args):
         if report.status == "fail":
             code = 1
     elif args.at:
-        point = _load_point(args.at, fx.scheme)
+        point = read_point(args.at, fx.scheme)
         m_src, m_tgt, phi = fiber_matrices_at(
             fx.scheme, args.order, operator, point, interpolation=imap
         )
+        matrices = {"source": m_src.matrix, "target": m_tgt.matrix}
+        matrices["interpolation"] = phi
         payload["matrices"] = {
-            "source": _matrix_payload(m_src.matrix),
-            "target": _matrix_payload(m_tgt.matrix),
-            "interpolation": _matrix_payload(phi),
+            tag: _matrix_report(tag, matrix, lines) for tag, matrix in matrices.items()
         }
-        for tag, matrix in (
-            ("source", m_src.matrix),
-            ("target", m_tgt.matrix),
-            ("interpolation", phi),
-        ):
-            lines.append(f"{tag} columns: " + ", ".join(matrix.col_labels))
-            for row in matrix.rows:
-                lines.append("[" + ", ".join(str(v) for v in row) + "]")
     return code, payload, lines
 
 
@@ -355,18 +323,9 @@ def _suite(law, plain_only: bool, needs: tuple, reason: str):
 
 
 # one row per suite: its law, then which fixtures it runs on
-suite_functor_laws = _suite(
-    laws.functor_laws,
-    True,
-    ("operator", "morphism"),
-    "needs an operator and a morphism",
-)
-suite_nabla_naturality = _suite(
-    laws.nabla_naturality,
-    True,
-    ("operator", "morphism"),
-    "needs an operator and a morphism",
-)
+MORPHISM = ("operator", "morphism"), "needs an operator and a morphism"
+suite_functor_laws = _suite(laws.functor_laws, True, *MORPHISM)
+suite_nabla_naturality = _suite(laws.nabla_naturality, True, *MORPHISM)
 suite_composition = _suite(
     laws.composition, True, ("operator", "second_operator"), "needs a second operator"
 )
@@ -431,20 +390,29 @@ def cmd_check(args):
             f" skips={s['skips']} inconclusive={s['inconclusive']})"
         )
         for entry in s["fixtures"]:
-            if entry["status"] == "skip":
-                lines.append(f"  skip {entry['fixture']}: {entry['reason']}")
-            elif entry["status"] == "inconclusive":
-                lines.append(f"  inconclusive {entry['fixture']}: {entry['reason']}")
+            head = f"  {entry['status']} {entry['fixture']}"
+            if entry["status"] in ("skip", "inconclusive"):
+                lines.append(f"{head}: {entry['reason']}")
             elif entry["status"] == "fail":
-                lines.append(
-                    f"  FAIL {entry['fixture']}: "
-                    + json.dumps(entry["witness"], sort_keys=True)
-                )
+                witness = json.dumps(entry["witness"], sort_keys=True)
+                lines.append(f"  FAIL {entry['fixture']}: {witness}")
     lines.append(f"overall: {status}")
     return code, payload, lines
 
 
 # ------------------------------------------------------------------- main
+
+
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,55 +422,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=False):
+    def command(name, handler, help, order=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--input", required=True, help="fixture file (or directory)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         if order:
-            p.add_argument("--order", type=int, required=True)
+            p.add_argument("--order", type=_at_least(1), required=True)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("weil", help="restrict an algebra-coefficient scheme")
-    common(p)
-    p.set_defaults(handler=cmd_weil)
-
-    p = sub.add_parser("prolong", help="prolongation space of the fixture scheme")
-    common(p)
+    command("weil", cmd_weil, "restrict an algebra-coefficient scheme")
+    p = command("prolong", cmd_prolong, "prolongation space of the fixture scheme")
     p.add_argument("--compose", help="second operator file for the tensor version")
-    p.set_defaults(handler=cmd_prolong)
-
-    p = sub.add_parser("jet", help="jet scheme and optional fibers")
-    common(p, order=True)
+    p = command("jet", cmd_jet, "jet scheme and optional fibers", order=True)
     p.add_argument("--at", help="point file for the linear fiber")
-    p.set_defaults(handler=cmd_jet)
-
-    p = sub.add_parser("interpolate", help="interpolation map and fiber matrices")
-    common(p, order=True)
+    p = command(
+        "interpolate", cmd_interpolate, "interpolation map and fiber matrices", True
+    )
     p.add_argument("--at", help="point file for the fiber matrices")
     p.add_argument("--check-surjectivity", action="store_true")
     p.add_argument("--dim", type=int, help="expected dimension at the point")
-    p.set_defaults(handler=cmd_interpolate)
-
-    p = sub.add_parser("nabla", help="canonical prolongation point over a point")
-    common(p)
+    p = command("nabla", cmd_nabla, "canonical prolongation point over a point")
     p.add_argument("--at", required=True, help="point file")
-    p.set_defaults(handler=cmd_nabla)
-
-    p = sub.add_parser("compose", help="tensor composite of two operators")
-    common(p)
+    p = command("compose", cmd_compose, "tensor composite of two operators")
     p.add_argument("--compose", help="second operator file (default: fixture second)")
-    p.set_defaults(handler=cmd_compose)
-
-    p = sub.add_parser("compare", help="comparison map along an algebra morphism")
-    common(p)
+    p = command("compare", cmd_compare, "comparison map along an algebra morphism")
     p.add_argument("--alpha", help="matrix file overriding the fixture alpha")
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("check", help="run seeded verification suites")
-    common(p)
+    p = command("check", cmd_check, "run seeded verification suites")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(handler=cmd_check)
-
+    p.add_argument("--trials", type=_at_least(0), default=100)
     return parser
 
 
@@ -527,7 +476,9 @@ def main(argv=None) -> int:
         payload = {
             "status": "fail",
             "error": str(err),
-            "residuals": _render_residuals(err),
+            "residuals": [
+                {"generator": i, "residual": render_value(v)} for i, v in err.residuals
+            ],
         }
         _emit(payload, [f"FAIL: {err}"], fmt)
         return 1
@@ -538,14 +489,7 @@ def main(argv=None) -> int:
             fmt,
         )
         return 3
-    except (
-        UsageError,
-        FixtureError,
-        ParseError,
-        OSError,
-        KeyError,
-        ValueError,
-    ) as err:
+    except (UsageError, FixtureError, OSError) as err:
         _emit({"status": "error", "error": str(err)}, [f"error: {err}"], fmt)
         return 2
     _emit(payload, lines, fmt)

@@ -1,49 +1,192 @@
-"""Fixture files for the command line front end.
-
-One JSON file carries a scheme plus whatever algebras, operators, points,
-morphisms, and point families the commands and suites need.  Loading is
-eager: bad cross-references fail here, not halfway through a suite.
+"""The JSON input format: fixtures (a scheme plus the algebras, operators,
+points, morphisms and point families the commands and suites need) and the
+``--at``, ``--compose`` and ``--alpha`` files.  The ``Shape`` table declares
+every field; raw JSON is checked against it before anything is built, and
+each piece is built under ``_building``, so every input error is a
+``FixtureError`` naming the file and the dotted field.  Unknown fields are
+ignored and a null value counts as absent.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
-from .algebra import AlgebraScheme, make_builtin
+from .algebra import make_builtin
 from .operators import RingOperator
 from .polynomials import RingContext, parse_poly, substitute
 from .scalars import QQ
-from .weil import AffineScheme, PolyMorphism, SchemePoint
+from .weil import AffineScheme, PointError, PolyMorphism, SchemePoint
 
 
 class FixtureError(ValueError):
     pass
 
 
-def make_operator(
-    algebra: AlgebraScheme, base_ctx: RingContext, spec, name: str, field="operator"
-) -> RingOperator:
-    """Operator from its JSON spec: per-generator slot vectors of polynomial
-    strings; generators left unlisted map through the unit slot.  Errors name
-    the fixture ``name`` and the ``field`` the spec was read from."""
-    spec = _typed({} if spec is None else spec, name, field)
-    if "operator" in spec:
-        spec = _typed(spec["operator"], name, field)
-    images = {}
-    for g, slots in _typed(spec.get("images", {}), name, f"{field}.images").items():
-        if not isinstance(slots, (list, tuple)) or len(slots) != algebra.rank:
-            raise FixtureError(
-                f"image of {g!r} needs {algebra.rank} slot strings"
-            )
-        polys = [parse_poly(str(s), base_ctx) for s in slots]
-        images[g] = algebra.element(base_ctx, polys)
-    for g in base_ctx.base_gens:
-        if g not in images:
-            images[g] = algebra.scalar(base_ctx, base_ctx.var(g))
-    return RingOperator(algebra, base_ctx, images)
+class Shape(NamedTuple):
+    """A JSON value of one of ``kinds`` (never a bool), called ``what`` in
+    messages.  ``items`` is the shape of a list's elements, each called
+    ``<list field> <its label>``, or of a map's values.  An object has keyed
+    ``fields``; ``required`` names those that must be present, or maps each
+    value of the ``tag`` field to them."""
+
+    kinds: type | tuple
+    what: str
+    items: Shape | None = None
+    label: str = "entry"
+    fields: dict | None = None
+    required: tuple | dict = ()
+    tag: str | None = None
+    choices: tuple = ()
+
+
+OBJECT = "a JSON object"
+STRING = Shape(str, "a string")
+INTEGER = Shape(int, "an integer")
+SCALAR = Shape((int, str), "an integer or a string")
+POLY = Shape(str, "a polynomial string")
+NAMES = Shape(list, "a list of names", STRING)
+ROW = Shape(list, "a list", SCALAR, "row")
+CELLS = Shape(list, "a list of cells", Shape(list, "a list", SCALAR, "cell"), "row")
+ALGEBRA = Shape(dict, OBJECT, tag="builtin", fields={
+    "builtin": STRING, "name": STRING, "vars": INTEGER, "order": INTEGER,
+    "n": INTEGER, "c": SCALAR, "basis": Shape(list, "a list of labels", STRING),
+    "mult": Shape(list, "a list of rows", CELLS),
+}, required={
+    "truncated": ("vars", "order"), "product": ("n",), "dring": ("c",),
+    None: ("basis", "mult"),
+})
+OPERATOR = Shape(dict, OBJECT, fields={
+    "images": Shape(dict, OBJECT, Shape(list, "a list", POLY)),
+})
+# a fixture's ``second`` field and a --compose file
+OPERATOR_FILE = Shape(dict, OBJECT, label="operator file", required=("algebra",),
+                      fields={"algebra": ALGEBRA, "operator": OPERATOR})
+ALPHA = Shape(list, "a list of rows", ROW)
+# a --alpha file: any object with an ``alpha`` field, a fixture included
+ALPHA_FILE = Shape(dict, OBJECT, label="alpha file", required=("alpha",),
+                   fields={"alpha": ALPHA})
+POINT = Shape(dict, OBJECT, POLY)
+FIXTURE = Shape(dict, OBJECT, label="fixture", fields={
+    "name": STRING, "dim": INTEGER, "base": NAMES, "vars": NAMES,
+    "ideal": Shape(list, "a list", Shape((str, list), "a string or a list", POLY)),
+    "algebra": ALGEBRA, "operator": OPERATOR, "second": OPERATOR_FILE,
+    "alpha": ALPHA,
+    "morphism": Shape(dict, OBJECT, required=("vars", "assignment"), fields={
+        "vars": NAMES, "assignment": Shape(dict, OBJECT, POLY),
+    }),
+    "point_family": Shape(dict, OBJECT, required=("vars", "values"), fields={
+        "vars": NAMES,
+        "values": Shape(dict, OBJECT, Shape(
+            (dict, str), "a JSON object or a string",
+            fields={"num": POLY, "den": POLY}, required=("num",),
+        )),
+    }),
+    "points": Shape(list, "a list", POINT),
+    "law": STRING,
+    "expect": Shape(str, "'pass' or 'fail'", choices=("pass", "fail")),
+})
+
+
+def _check(value, shape: Shape, where: str, field: str = "", root: str = ""):
+    """Raise a FixtureError unless ``value`` has ``shape``.  ``field`` is the
+    value's dotted name ("" for a whole file) and ``root`` names the list
+    field it is an element of."""
+    name = field or shape.label
+    typed = isinstance(value, shape.kinds) and not isinstance(value, bool)
+    if not typed or (shape.choices and value not in shape.choices):
+        raise FixtureError(f"{where}: {name} must be {shape.what}, got {value!r}")
+    prefix = f"{field}." if field else ""
+    if isinstance(value, list):
+        root = root or name
+        for item in value:
+            _check(item, shape.items, where, f"{root} {shape.items.label}", root)
+    elif isinstance(value, dict) and shape.fields is None:
+        for key, item in value.items():
+            _check(item, shape.items, where, prefix + key)
+    elif isinstance(value, dict):
+        needs = shape.required
+        if shape.tag:
+            tag = value.get(shape.tag)
+            needs = needs.get(tag, ()) if tag is None or isinstance(tag, str) else ()
+        for key, sub in shape.fields.items():
+            if value.get(key) is not None or key in needs:
+                _check(value.get(key), sub, where, prefix + key)
+
+
+@contextmanager
+def _building(where: str, field: str, verdicts=()):
+    """Re-raise an error in building ``field`` as a FixtureError naming it;
+    exceptions of the ``verdicts`` types pass through unchanged."""
+    try:
+        yield
+    except verdicts:
+        raise
+    except (ValueError, ArithmeticError) as err:
+        raise FixtureError(f"{where}: {field}: {err}") from err
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise FixtureError(f"{path}: not valid JSON ({err})") from err
+
+
+def _read(path, shape: Shape, field: str = ""):
+    data = _read_json(Path(path))
+    _check(data, shape, str(path), field)
+    return data
+
+
+def _operator(spec: dict, base_ctx: RingContext, where: str, prefix: str = ""):
+    """The operator of an object with ``algebra`` and ``operator`` fields:
+    per-generator slot vectors of polynomial strings, and generators left
+    unlisted map through the unit slot."""
+    with _building(where, f"{prefix}algebra"):
+        fields = {k: v for k, v in spec["algebra"].items() if v is not None}
+        algebra = make_builtin(fields)
+    with _building(where, f"{prefix}operator.images"):
+        images = {}
+        for g, slots in ((spec.get("operator") or {}).get("images") or {}).items():
+            if len(slots) != algebra.rank:
+                raise ValueError(f"image of {g!r} needs {algebra.rank} slot strings")
+            polys = [parse_poly(s, base_ctx) for s in slots]
+            images[g] = algebra.element(base_ctx, polys)
+        for g in base_ctx.base_gens:
+            images.setdefault(g, algebra.scalar(base_ctx, base_ctx.var(g)))
+        return RingOperator(algebra, base_ctx, images)
+
+
+def _alpha(rows: list, where: str) -> list:
+    with _building(where, "alpha"):
+        return [[Fraction(x) for x in row] for row in rows]
+
+
+def _point(scheme: AffineScheme, point: dict) -> SchemePoint:
+    return SchemePoint(scheme, {x: parse_poly(v, scheme.ctx) for x, v in point.items()})
+
+
+def read_point(path, scheme: AffineScheme) -> SchemePoint:
+    """The ``--at`` file: coordinates mapped to polynomial strings in the
+    base parameters.  A point off the scheme raises ``PointError``."""
+    data = _read(path, POINT, "point")
+    with _building(str(path), "point", PointError):
+        return _point(scheme, data)
+
+
+def read_operator(path, base_ctx: RingContext) -> RingOperator:
+    """The ``--compose`` file: an ``algebra`` and its ``operator``."""
+    return _operator(_read(path, OPERATOR_FILE), base_ctx, str(path))
+
+
+def read_alpha(path) -> list:
+    """The ``--alpha`` file: a matrix of rows in an ``alpha`` field."""
+    return _alpha(_read(path, ALPHA_FILE)["alpha"], str(path))
 
 
 @dataclass(frozen=True)
@@ -56,23 +199,20 @@ class PointFamily:
 
     def sample(self, scheme: AffineScheme, rng) -> SchemePoint:
         for _ in range(64):
-            params = {
-                v: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            constants = {
+                v: self.ctx.const(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                 for v in self.ctx.scheme_vars
             }
-            constants = {v: self.ctx.const(c) for v, c in params.items()}
             assignment = {}
-            bad = False
             for coord, num, den in self.values:
                 value = substitute(num, constants, self.ctx).constant_value()
                 if den is not None:
                     lower = substitute(den, constants, self.ctx).constant_value()
                     if lower == 0:
-                        bad = True
                         break
                     value = value / lower
                 assignment[coord] = value
-            if not bad:
+            else:
                 return SchemePoint(scheme, assignment)
         raise FixtureError("point family kept hitting zero denominators")
 
@@ -81,9 +221,7 @@ class PointFamily:
 class Fixture:
     name: str
     scheme: AffineScheme
-    algebra: AlgebraScheme | None
     operator: RingOperator | None
-    second_algebra: AlgebraScheme | None
     second_operator: RingOperator | None
     alpha: list | None
     morphism: PolyMorphism | None
@@ -94,164 +232,73 @@ class Fixture:
     dim: int | None
 
 
-def _typed(value, name: str, field: str, kind=dict, what: str = "a JSON object"):
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise FixtureError(f"{name}: {field} must be {what}, got {value!r}")
-    return value
+def _scheme(entries: list, ctx: RingContext, operator) -> AffineScheme:
+    if all(isinstance(e, str) for e in entries):
+        return AffineScheme(ctx, [parse_poly(e, ctx) for e in entries])
+    # slot-vector entries present: the scheme itself has coefficients in the
+    # algebra (a string is slot 0) and only the restriction command can use it
+    if operator is None:
+        raise ValueError("slot-vector entries need an algebra")
+    algebra, generators = operator.algebra, []
+    pad = ["0"] * (algebra.rank - 1)
+    for entry in entries:
+        slots = [entry, *pad] if isinstance(entry, str) else entry
+        if len(slots) != algebra.rank:
+            raise ValueError(f"slot vectors need {algebra.rank} entries")
+        generators.append(algebra.element(ctx, [parse_poly(s, ctx) for s in slots]))
+    return AffineScheme(ctx, generators, algebra=algebra)
 
 
-def _names(value, name: str, field: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise FixtureError(f"{name}: {field} must be a list of names, got {value!r}")
-    return tuple(value)
-
-
-_SCALAR = ((int, str), "an integer or a string")
-# each builtin algebra's spec fields and what each must be
-_BUILTIN_FIELDS = {
-    "truncated": {"vars": (int, "an integer"), "order": (int, "an integer")},
-    "product": {"n": (int, "an integer")},
-    "dring": {"c": _SCALAR},
-}
-
-
-def make_algebra(spec, name: str, field: str) -> AlgebraScheme:
-    """Algebra from its JSON spec (see ``make_builtin``); the spec's shape
-    is checked first, so errors name the fixture and the dotted field."""
-    spec = _typed(spec, name, field)
-    if "builtin" in spec:
-        for key, (kind, what) in _BUILTIN_FIELDS.get(spec["builtin"], {}).items():
-            _typed(spec.get(key), name, f"{field}.{key}", kind, what)
-    elif "basis" in spec and "mult" in spec:
-        _typed(spec["basis"], name, f"{field}.basis", list, "a list of labels")
-        for row in _typed(spec["mult"], name, f"{field}.mult", list, "a list of rows"):
-            for cell in _typed(row, name, f"{field}.mult row", list, "a list of cells"):
-                for c in _typed(cell, name, f"{field}.mult cell", list, "a list"):
-                    _typed(c, name, f"{field}.mult entry", *_SCALAR)
-    return make_builtin(spec)
-
-
-def _parse_alpha(rows, name: str) -> list:
-    return [
-        [Fraction(str(x)) for x in _typed(row, name, "alpha row", list, "a list")]
-        for row in _typed(rows, name, "alpha", list, "a list of rows")
-    ]
-
-
-def _parse_family(data, name, scheme) -> PointFamily | None:
-    spec = data.get("point_family")
-    if spec is None:
-        return None
-    spec = _typed(spec, name, "point_family")
-    fvars = _names(spec.get("vars"), name, "point_family.vars")
-    fctx = RingContext(QQ, scheme_vars=fvars)
-    table = _typed(spec.get("values"), name, "point_family.values")
+def _family(spec: dict, scheme: AffineScheme) -> PointFamily:
+    fctx = RingContext(QQ, scheme_vars=spec["vars"])
     values = []
     for coord in scheme.variables:
-        entry = table.get(coord)
+        entry = spec["values"].get(coord)
         if entry is None:
-            raise FixtureError(f"point family misses coordinate {coord!r}")
+            raise ValueError(f"misses coordinate {coord!r}")
         if isinstance(entry, str):
-            values.append((coord, parse_poly(entry, fctx), None))
-        else:
-            field = f"point_family.values.{coord}"
-            entry = _typed(entry, name, field)
-            if "num" not in entry:
-                raise FixtureError(f"{name}: {field} needs 'num'")
-            num = parse_poly(str(entry["num"]), fctx)
-            den = parse_poly(str(entry["den"]), fctx) if "den" in entry else None
-            values.append((coord, num, den))
+            entry = {"num": entry}
+        den = None if entry.get("den") is None else parse_poly(entry["den"], fctx)
+        values.append((coord, parse_poly(entry["num"], fctx), den))
     return PointFamily(fctx, tuple(values))
 
 
 def load_fixture(path) -> Fixture:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise FixtureError(f"{path}: not valid JSON ({err})") from err
-    if not isinstance(data, dict):
-        raise FixtureError(f"{path}: a fixture must be a JSON object")
-    name = _typed(data.get("name", path.stem), str(path), "name", str, "a string")
-    dim = _typed(data.get("dim"), name, "dim", (int, type(None)), "an integer")
-    base = _names(data.get("base", []), name, "base")
-    scheme_vars = _names(data.get("vars", []), name, "vars")
-    ctx = RingContext(QQ, scheme_vars=scheme_vars, base_gens=base)
-    base_ctx = RingContext(QQ, base_gens=base)
-    algebra = operator = None
-    if "algebra" in data:
-        algebra = make_algebra(data["algebra"], name, "algebra")
-        operator = make_operator(algebra, base_ctx, data.get("operator"), name)
-    entries = _typed(data.get("ideal", []), name, "ideal", list, "a list")
-    if any(not isinstance(e, str) for e in entries):
-        # slot-vector entries present: the scheme itself has coefficients
-        # in the algebra and only the restriction command can use it
-        if algebra is None:
-            raise FixtureError(f"{name}: slot-vector ideal entries need an algebra")
-        generators = []
-        for entry in entries:
-            if isinstance(entry, str):
-                slots = [parse_poly(entry, ctx)]
-                slots += [ctx.zero()] * (algebra.rank - 1)
-            else:
-                entry = _typed(entry, name, "ideal entry", list, "a string or a list")
-                if len(entry) != algebra.rank:
-                    raise FixtureError(
-                        f"{name}: slot vectors need {algebra.rank} entries"
-                    )
-                slots = [parse_poly(str(s), ctx) for s in entry]
-            generators.append(algebra.element(ctx, slots))
-        scheme = AffineScheme(ctx, generators, algebra=algebra)
-    else:
-        scheme = AffineScheme(ctx, [parse_poly(e, ctx) for e in entries])
-    second_algebra = second_operator = None
-    if "second" in data:
-        second = _typed(data["second"], name, "second")
-        second_algebra = make_algebra(second.get("algebra"), name, "second.algebra")
-        second_operator = make_operator(
-            second_algebra, base_ctx, second.get("operator"), name, "second.operator"
-        )
-    alpha = _parse_alpha(data["alpha"], name) if "alpha" in data else None
-    morphism = None
-    if "morphism" in data:
-        spec = _typed(data["morphism"], name, "morphism")
-        mvars = _names(spec.get("vars"), name, "morphism.vars")
-        mctx = RingContext(QQ, scheme_vars=mvars, base_gens=base)
-        space = AffineScheme(mctx, [])
-        images = _typed(spec.get("assignment"), name, "morphism.assignment")
-        assignment = {k: parse_poly(str(v), mctx) for k, v in images.items()}
-        morphism = PolyMorphism(space, scheme, assignment)
-        if not morphism.is_morphism():
-            raise FixtureError(f"{name}: morphism does not land on the scheme")
-    family = _parse_family(data, name, scheme)
-    points = [
-        SchemePoint(
-            scheme,
-            {
-                k: parse_poly(str(v), ctx)
-                for k, v in _typed(entry, name, "points entry").items()
-            },
-        )
-        for entry in _typed(data.get("points", []), name, "points", list, "a list")
-    ]
-    law = _typed(data.get("law"), name, "law", (str, type(None)), "a string")
-    expect = data.get("expect", "pass")
-    if expect not in ("pass", "fail"):
-        raise FixtureError(f"{name}: expect must be 'pass' or 'fail', got {expect!r}")
+    data = _read_json(path)
+    name = data.get("name") if isinstance(data, dict) else None
+    name = path.stem if name is None else name
+    _check(data, FIXTURE, name if isinstance(name, str) else str(path))
+    base = data.get("base") or []
+    with _building(name, "base"):
+        base_ctx = RingContext(QQ, base_gens=base)
+    with _building(name, "vars"):
+        ctx = RingContext(QQ, scheme_vars=data.get("vars") or [], base_gens=base)
+    operator = second = alpha = morphism = family = None
+    if data.get("algebra") is not None:
+        operator = _operator(data, base_ctx, name)
+    with _building(name, "ideal"):
+        scheme = _scheme(data.get("ideal") or [], ctx, operator)
+    if data.get("second") is not None:
+        second = _operator(data["second"], base_ctx, name, "second.")
+    if data.get("alpha") is not None:
+        alpha = _alpha(data["alpha"], name)
+    if data.get("morphism") is not None:
+        with _building(name, "morphism"):
+            spec = data["morphism"]
+            mctx = RingContext(QQ, scheme_vars=spec["vars"], base_gens=base)
+            images = {k: parse_poly(v, mctx) for k, v in spec["assignment"].items()}
+            morphism = PolyMorphism(AffineScheme(mctx, []), scheme, images)
+            if not morphism.is_morphism():
+                raise ValueError("does not land on the scheme")
+    if data.get("point_family") is not None:
+        with _building(name, "point_family"):
+            family = _family(data["point_family"], scheme)
+    with _building(name, "points"):
+        points = [_point(scheme, entry) for entry in data.get("points") or []]
     return Fixture(
-        name=name,
-        scheme=scheme,
-        algebra=algebra,
-        operator=operator,
-        second_algebra=second_algebra,
-        second_operator=second_operator,
-        alpha=alpha,
-        morphism=morphism,
-        family=family,
-        points=points,
-        law=law,
-        expect=expect,
-        dim=dim,
+        name, scheme, operator, second, alpha, morphism, family, points,
+        data.get("law"), data.get("expect") or "pass", data.get("dim"),
     )
 
 

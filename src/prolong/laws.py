@@ -30,6 +30,7 @@ from .operators import (
 )
 from .polynomials import parse_poly, poly_to_str, random_poly, transport
 from .prolongations import (
+    AlgebraMapError,
     compare_map,
     nabla,
     prolong,
@@ -234,16 +235,20 @@ def composition(fx: Fixture, rng: random.Random, trials: int):
     return 1 + len(points), {"points": len(points)}
 
 
+def _algebra_map(alpha, e, f) -> None:
+    """Raise a violation unless ``alpha`` is an algebra map from e to f."""
+    try:
+        validate_algebra_map(alpha, e, f)
+    except AlgebraMapError as err:
+        witness = {"law": "algebra map validation", "reason": str(err)}
+        raise LawViolation(witness) from err
+
+
 def comparison(fx: Fixture, rng: random.Random, trials: int):
     """alpha is an algebra map between the operators, its comparison map is
     a morphism, and it carries nabla along e to nabla along f."""
     e, f = fx.operator, fx.second_operator
-    try:
-        validate_algebra_map(fx.alpha, e, f)
-    except ValueError as err:
-        raise LawViolation(
-            {"law": "algebra map validation", "reason": str(err)}
-        ) from err
+    _algebra_map(fx.alpha, e, f)
     pro_e = prolong(fx.scheme, e)
     pro_f = prolong(fx.scheme, f)
     hat = compare_map(
@@ -416,6 +421,7 @@ def interpolation_diagrams(fx: Fixture, rng: random.Random, trials: int):
                         )
             checked.append(f"triangle m={m}")
     if quotient:
+        _algebra_map(fx.alpha, e, f)
         for m in (1, 2):
             imap_f = interpolation_map(fx.scheme, m, f, jet=imaps[m].jet)
             left, right = quotient_square(fx.alpha, imaps[m], imap_f)

@@ -147,6 +147,10 @@ def _rows_times(matrix: list[list[Fraction]], vector) -> list[Fraction]:
     ]
 
 
+class AlgebraMapError(ValueError):
+    """A matrix is not a unital algebra map intertwining two operators."""
+
+
 def validate_algebra_map(
     matrix, e: RingOperator, f: RingOperator
 ) -> list[list[Fraction]]:
@@ -159,20 +163,20 @@ def validate_algebra_map(
     ea, fa = e.algebra, f.algebra
     rows = [[_fractionize(v) for v in row] for row in matrix]
     if len(rows) != fa.rank or any(len(row) != ea.rank for row in rows):
-        raise ValueError(f"matrix must be {fa.rank}x{ea.rank} for these algebras")
+        raise AlgebraMapError(f"matrix must be {fa.rank}x{ea.rank} for these algebras")
     if e.ctx != f.ctx:
-        raise ValueError("operators live over different base rings")
+        raise AlgebraMapError("operators live over different base rings")
     unit = [rows[jp][0] for jp in range(fa.rank)]
     expected_unit = [Fraction(1)] + [Fraction(0)] * (fa.rank - 1)
     if unit != expected_unit:
-        raise ValueError(f"unit is not preserved: image of e_0 is {unit}")
+        raise AlgebraMapError(f"unit is not preserved: image of e_0 is {unit}")
     columns = [[rows[jp][j] for jp in range(fa.rank)] for j in range(ea.rank)]
     for i in range(ea.rank):
         for j in range(ea.rank):
             left = _rows_times(rows, ea.table[i][j])
             right = [Fraction(v) for v in fa.multiply_vectors(columns[i], columns[j])]
             if left != right:
-                raise ValueError(
+                raise AlgebraMapError(
                     f"not multiplicative at (e_{i}, e_{j}): "
                     f"image of product is {left}, product of images is {right}"
                 )
@@ -185,7 +189,7 @@ def validate_algebra_map(
                 if rows[jp][j]:
                     combo = combo + slots[j].scale(field.from_fraction(rows[jp][j]))
             if combo != f.images[g].slots[jp]:
-                raise ValueError(
+                raise AlgebraMapError(
                     f"operators are not intertwined at generator {g!r}, "
                     f"slot {jp}: mapped image is {combo}, "
                     f"expected {f.images[g].slots[jp]}"

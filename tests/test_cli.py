@@ -1,16 +1,22 @@
 """End-to-end checks of the command line front end."""
 
+import ast
+import copy
 import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prolong
+import prolong.cli
 import prolong.interpolation as interpolation
 import prolong.prolongations as prolongations
 from prolong.cli import main
@@ -687,6 +693,47 @@ LAW_FIXTURE = {
             dict(LAW_FIXTURE, name="d", algebra={"builtin": "dring", "c": 0.5}),
             "d: algebra.c must be an integer or a string, got 0.5",
         ),
+        (
+            dict(LAW_FIXTURE, name="g", operator={"images": {"t": [5, 6]}}),
+            "g: operator.images.t entry must be a polynomial string, got 5",
+        ),
+        (
+            {"name": "i", "vars": ["x"], "ideal": [5]},
+            "i: ideal entry must be a string or a list, got 5",
+        ),
+        (
+            {"name": "p", "vars": ["x"], "ideal": ["x^2 - 1"], "points": [{"x": 1.5}]},
+            "p: points entry.x must be a polynomial string, got 1.5",
+        ),
+        (
+            {"name": "i", "vars": ["x"], "ideal": ["x^^2"]},
+            "i: ideal: expected an unsigned integer (at offset 2)",
+        ),
+        (
+            {"name": "p", "vars": ["x"], "ideal": ["x^2 - 1"], "points": [{"x": "1+"}]},
+            "p: points: expected a number, variable, or '(' (at offset 2)",
+        ),
+        (
+            {"name": "a", "vars": ["x"], "ideal": ["x^2 - 1"], "alpha": [["a"]]},
+            "a: alpha: Invalid literal for Fraction: 'a'",
+        ),
+        (
+            dict(LAW_FIXTURE, name="b", algebra={"builtin": "nope"}),
+            "b: algebra: unknown builtin algebra 'nope'",
+        ),
+        (
+            {
+                "name": "m",
+                "vars": ["x", "y"],
+                "ideal": ["y - x^2"],
+                "morphism": {"vars": ["u"], "assignment": {"x": "u"}},
+            },
+            "m: morphism: assignment must cover exactly the target variables",
+        ),
+        (
+            dict(LAW_FIXTURE, name="o", operator={"images": {"s": ["t", "1"]}}),
+            "o: operator.images: images for unknown generators ['s']",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -713,12 +760,21 @@ LAW_FIXTURE = {
         "algebra-order-missing",
         "second-algebra-order-missing",
         "algebra-c-float",
+        "operator-images-numbers",
+        "ideal-entry-number",
+        "point-float",
+        "ideal-bad-polynomial",
+        "point-bad-polynomial",
+        "alpha-bad-literal",
+        "unknown-builtin",
+        "morphism-misses-a-variable",
+        "images-unknown-generator",
     ],
 )
 def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
-    with pytest.raises(FixtureError, match=message):
+    with pytest.raises(FixtureError, match=re.escape(message)):
         load_fixture(bad)
     done = run_cli_process("check", "--input", bad, "--suite", "surjectivity")
     assert done.returncode == 2
@@ -733,3 +789,216 @@ def test_exponent_above_the_limit_exits_two_without_traceback(tmp_path):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert "limit 2147483647 (2**31 - 1)" in done.stdout
+
+
+# flag files for the sweep: the good ones, then one of each malformed kind
+FLAG_FILES = {
+    "point.json": json.dumps({"x": "3/5", "y": "4/5"}),
+    "second.json": json.dumps(NON_COMMUTING_SECOND),
+    "alpha.json": json.dumps({"alpha": [["1", "0", "0"], ["0", "1", "0"]]}),
+    "list.json": "[1, 2]",
+    "empty.json": "{}",
+    "wrong_coordinate.json": json.dumps({"x": "0", "q": "1"}),
+    "missing_coordinate.json": json.dumps({"x": "1"}),
+    "float.json": json.dumps({"x": 1.5, "y": "0"}),
+    "latin1.json": b'{"x": "\xe9"}',
+}
+
+
+def test_every_command_exits_with_a_code_on_every_input(capsys, tmp_path):
+    """Every command on every shipped fixture, with good and malformed flag
+    files, ends in an exit code from 0 to 3 and lets no exception escape."""
+    flags = []
+    for name, content in FLAG_FILES.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        flags.append(str(path))
+    escaped, codes = [], []
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        runs = [
+            ["weil"],
+            ["prolong"],
+            ["jet", "--order", "1"],
+            ["compose"],
+            ["compare"],
+            ["interpolate", "--order", "1"],
+        ]
+        for flag in flags:
+            runs += [
+                ["prolong", "--compose", flag],
+                ["jet", "--order", "1", "--at", flag],
+                ["nabla", "--at", flag],
+                ["compose", "--compose", flag],
+                ["compare", "--alpha", flag],
+                ["interpolate", "--order", "1", "--at", flag],
+                ["interpolate", "--order", "1", "--at", flag]
+                + ["--check-surjectivity", "--dim", "1"],
+            ]
+        for run in runs:
+            argv = [*run, "--input", str(fixture), "--format", "json"]
+            try:
+                codes.append(main(argv))
+            except Exception as err:  # the sweep reports every escape at once
+                escaped.append((fixture.name, run, repr(err)))
+    capsys.readouterr()
+    assert escaped == []
+    assert set(codes) <= {0, 1, 2, 3}
+    assert {0, 1, 2} <= set(codes)
+
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
+
+
+def _paths(value, path=()):
+    """The path of every value nested in ``value``, ``value`` itself first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _paths(item, (*path, key))
+
+
+JSON_LEAVES = st.one_of(
+    # small integers: a large builtin order or factor count is a resource
+    # question for the algebra, not a loader one
+    st.integers(-3, 3),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text("xyuts0123^*+-/() ", max_size=6),
+)
+JSON_VALUES = st.one_of(
+    JSON_LEAVES,
+    st.lists(JSON_LEAVES, max_size=3),
+    st.dictionaries(st.sampled_from(["x", "y", "t", "num"]), JSON_LEAVES, max_size=3),
+)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A shipped fixture with one nested value replaced or one key dropped."""
+    stem = draw(st.sampled_from(sorted(SHIPPED)))
+    data = copy.deepcopy(SHIPPED[stem])
+    path = draw(st.sampled_from(list(_paths(data))))
+    if not path:
+        return stem, draw(JSON_VALUES)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return stem, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_mutated_fixtures_load_or_fail_naming_the_fixture(tmp_path_factory, case):
+    stem, data = case
+    path = tmp_path_factory.getbasetemp() / f"{stem}.json"
+    path.write_text(json.dumps(data))
+    name = data.get("name", stem) if isinstance(data, dict) else None
+    name = stem if name is None else name
+    try:
+        load_fixture(path)
+    except FixtureError as err:
+        assert str(err).startswith(name if isinstance(name, str) else str(path))
+
+
+def test_flag_files_of_the_wrong_shape_exit_two_naming_the_field(capsys, tmp_path):
+    """The --at, --compose and --alpha files are checked like fixtures."""
+    pair = ("--input", FIXTURES / "compose_pair.json")
+    quotient = ("--input", FIXTURES / "compare_quotient.json")
+    conic = ("jet", "--order", 1, "--input", FIXTURES / "conic.json", "--at")
+    cases = [
+        (("prolong", *pair, "--compose"), "[1, 2]", "operator file must be a JSON"),
+        (("compose", *pair, "--compose"), "{}", "algebra must be a JSON object"),
+        (("compare", *quotient, "--alpha"), "[1, 2]", "alpha file must be a JSON"),
+        (("compare", *quotient, "--alpha"), '{"alpha": [1]}', "alpha row must be a"),
+        (("compare", *quotient, "--alpha"), "{}", "alpha must be a list of rows"),
+        (("nabla", *pair, "--at"), "[1, 2]", "point must be a JSON object"),
+        (conic, '{"x": 1.5, "y": "0"}', "point.x must be a polynomial string"),
+        (conic, '{"x": "1"}', "point: missing coordinate 'y'"),
+        (conic, '{"x": "1", "q": "0"}', "point: missing coordinate 'y'"),
+    ]
+    for args, content, message in cases:
+        flag = tmp_path / "flag.json"
+        flag.write_text(content)
+        code, payload = run_json(capsys, *args, flag)
+        assert code == 2
+        assert payload["error"].startswith(f"{flag}: {message}")
+    flag.write_bytes(b'{"x": "\xe9"}')
+    code, payload = run_json(capsys, *conic, flag)
+    assert code == 2
+    assert payload["error"].startswith(f"{flag}: not valid JSON")
+
+
+def test_a_bad_alpha_fails_both_of_its_suites_and_keeps_every_report(capsys, tmp_path):
+    """An alpha that is no algebra map fails comparison and the quotient
+    square of the diagrams suite with the same witness; no suite is lost."""
+    target = _edited_fixture(
+        tmp_path, "compare_quotient", alpha=[["0", "0", "0"], ["0", "1", "0"]]
+    )
+    code, payload = run_json(
+        capsys, "check", "--suite", "all", "--input", target, "--trials", 2
+    )
+    assert code == 1
+    assert [s["suite"] for s in payload["suites"]] == list(prolong.cli.SUITE_NAMES)
+    failed = {s["suite"]: s["witness"] for s in payload["suites"] if s["fails"]}
+    witness = {
+        "law": "algebra map validation",
+        "reason": "unit is not preserved: image of e_0 is"
+        " [Fraction(0, 1), Fraction(0, 1)]",
+        "fixture": "compare_quotient",
+    }
+    assert failed == {"comparison": witness, "interpolation_diagrams": witness}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("jet", "--order", 0, "--input", FIXTURES / "conic.json"),
+        ("interpolate", "--order", -1, "--input", FIXTURES / "conic.json"),
+        ("check", "--trials", -1, "--input", FIXTURES / "conic.json"),
+    ],
+    ids=["order-zero", "order-negative", "trials-negative"],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, args):
+    assert main([str(a) for a in args]) == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("prolong",),
+        ("jet", "--order", 1),
+        ("interpolate", "--order", 1),
+        ("nabla", "--at", FIXTURES / "gauss_norm.json"),
+    ],
+    ids=["prolong", "jet", "interpolate", "nabla"],
+)
+def test_plain_scheme_commands_reject_algebra_coefficients(capsys, args):
+    code, payload = run_json(capsys, *args, "--input", FIXTURES / "gauss_norm.json")
+    assert code == 2
+    assert payload["error"] == (
+        "fixture 'gauss_norm' has algebra coefficients;"
+        " this command needs a plain scheme"
+    )
+
+
+def test_the_command_line_has_no_broad_except():
+    """cli.py catches only the errors it reports: a bare except, or one
+    naming Exception, ValueError or KeyError, would turn an internal bug
+    into a usage error."""
+    tree = ast.parse(Path(prolong.cli.__file__).read_text(encoding="utf-8"))
+    broad = {"Exception", "BaseException", "ValueError", "KeyError"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(c, "id", getattr(c, "attr", None)) for c in caught}
+            assert node.type is not None and not names & broad, node.lineno
