@@ -392,6 +392,8 @@ def custom_algebra(labels, table, name: str = "custom") -> AlgebraScheme:
 
 def make_builtin(spec) -> AlgebraScheme:
     """Algebra from a JSON-shaped spec dict (see fixture schema)."""
+    if isinstance(spec, AlgebraScheme):
+        return spec
     if not isinstance(spec, dict):
         raise ValueError(f"cannot read algebra spec {spec!r}")
     if "builtin" in spec:

@@ -11,7 +11,7 @@ import argparse
 import json
 import random
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import laws
@@ -64,12 +64,28 @@ def _need(fixture: Fixture, attr: str, what: str):
     return value
 
 
-def _matrix_report(tag: str, matrix, lines: list) -> dict:
-    """A matrix's payload; its text lines, headed by ``tag``, go to ``lines``."""
-    cols, rows = list(matrix.col_labels), [[str(v) for v in r] for r in matrix.rows]
-    lines.append(f"{tag} columns: " + ", ".join(cols))
-    lines.extend("[" + ", ".join(row) + "]" for row in rows)
-    return {"cols": cols, "rows": rows}
+def _scalar_point(path_text: str, scheme: AffineScheme):
+    """The ``--at`` point of a linear fiber, which needs constant coordinates
+    where a point file may also hold polynomials in the base parameters."""
+    point = read_point(path_text, scheme)
+    for name, value in point.assignment.items():
+        if not value.is_constant():
+            raise UsageError(
+                f"{path_text}: point.{name} must be a constant for a fiber,"
+                f" got {poly_to_str(value)}"
+            )
+    return point
+
+
+def _render_residuals(err: PointError) -> list:
+    return [{"generator": i, "residual": render_value(v)} for i, v in err.residuals]
+
+
+def _matrix_payload(matrix) -> dict:
+    return {
+        "cols": list(matrix.col_labels),
+        "rows": [[str(v) for v in row] for row in matrix.rows],
+    }
 
 
 def _scheme_report(payload: dict, head: str, scheme: AffineScheme):
@@ -121,10 +137,13 @@ def cmd_jet(args):
     payload = {"command": "jet", "order": args.order}
     code, payload, lines = _scheme_report(payload, f"order: {args.order}", jet.scheme)
     if args.at:
-        point = read_point(args.at, fx.scheme)
+        point = _scalar_point(args.at, fx.scheme)
         fiber = jet_fiber(fx.scheme, args.order, point, jet=jet)
-        payload["fiber"] = _matrix_report("fiber", fiber.matrix, lines)
+        payload["fiber"] = _matrix_payload(fiber.matrix)
         payload["fiber_dimension"] = fiber.dimension
+        lines.append("fiber columns: " + ", ".join(fiber.columns))
+        for row in payload["fiber"]["rows"]:
+            lines.append("[" + ", ".join(row) + "]")
         lines.append(f"fiber dimension: {fiber.dimension}")
     return code, payload, lines
 
@@ -219,11 +238,17 @@ def cmd_interpolate(args):
     if args.check_surjectivity:
         if not args.at or args.dim is None:
             raise UsageError("--check-surjectivity needs --at and --dim")
-        point = read_point(args.at, fx.scheme)
+        point = _scalar_point(args.at, fx.scheme)
         report = check_surjectivity(
             fx.scheme, args.order, operator, point, args.dim, interpolation=imap
         )
-        payload["surjectivity"] = asdict(report)
+        payload["surjectivity"] = {
+            "status": report.status,
+            "reason": report.reason,
+            "source_kernel": report.source_kernel,
+            "target_kernel": report.target_kernel,
+            "image_rank": report.image_rank,
+        }
         tag = report.status.upper()
         lines.append(f"surjectivity: {tag} {report.reason}".rstrip())
         lines.append(
@@ -233,15 +258,23 @@ def cmd_interpolate(args):
         if report.status == "fail":
             code = 1
     elif args.at:
-        point = read_point(args.at, fx.scheme)
+        point = _scalar_point(args.at, fx.scheme)
         m_src, m_tgt, phi = fiber_matrices_at(
             fx.scheme, args.order, operator, point, interpolation=imap
         )
-        matrices = {"source": m_src.matrix, "target": m_tgt.matrix}
-        matrices["interpolation"] = phi
         payload["matrices"] = {
-            tag: _matrix_report(tag, matrix, lines) for tag, matrix in matrices.items()
+            "source": _matrix_payload(m_src.matrix),
+            "target": _matrix_payload(m_tgt.matrix),
+            "interpolation": _matrix_payload(phi),
         }
+        for tag, matrix in (
+            ("source", m_src.matrix),
+            ("target", m_tgt.matrix),
+            ("interpolation", phi),
+        ):
+            lines.append(f"{tag} columns: " + ", ".join(matrix.col_labels))
+            for row in matrix.rows:
+                lines.append("[" + ", ".join(str(v) for v in row) + "]")
     return code, payload, lines
 
 
@@ -323,9 +356,18 @@ def _suite(law, plain_only: bool, needs: tuple, reason: str):
 
 
 # one row per suite: its law, then which fixtures it runs on
-MORPHISM = ("operator", "morphism"), "needs an operator and a morphism"
-suite_functor_laws = _suite(laws.functor_laws, True, *MORPHISM)
-suite_nabla_naturality = _suite(laws.nabla_naturality, True, *MORPHISM)
+suite_functor_laws = _suite(
+    laws.functor_laws,
+    True,
+    ("operator", "morphism"),
+    "needs an operator and a morphism",
+)
+suite_nabla_naturality = _suite(
+    laws.nabla_naturality,
+    True,
+    ("operator", "morphism"),
+    "needs an operator and a morphism",
+)
 suite_composition = _suite(
     laws.composition, True, ("operator", "second_operator"), "needs a second operator"
 )
@@ -390,12 +432,15 @@ def cmd_check(args):
             f" skips={s['skips']} inconclusive={s['inconclusive']})"
         )
         for entry in s["fixtures"]:
-            head = f"  {entry['status']} {entry['fixture']}"
-            if entry["status"] in ("skip", "inconclusive"):
-                lines.append(f"{head}: {entry['reason']}")
+            if entry["status"] == "skip":
+                lines.append(f"  skip {entry['fixture']}: {entry['reason']}")
+            elif entry["status"] == "inconclusive":
+                lines.append(f"  inconclusive {entry['fixture']}: {entry['reason']}")
             elif entry["status"] == "fail":
-                witness = json.dumps(entry["witness"], sort_keys=True)
-                lines.append(f"  FAIL {entry['fixture']}: {witness}")
+                lines.append(
+                    f"  FAIL {entry['fixture']}: "
+                    + json.dumps(entry["witness"], sort_keys=True)
+                )
     lines.append(f"overall: {status}")
     return code, payload, lines
 
@@ -422,36 +467,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, order=False):
-        p = sub.add_parser(name, help=help)
+    def common(p, order=False):
         p.add_argument("--input", required=True, help="fixture file (or directory)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         if order:
             p.add_argument("--order", type=_at_least(1), required=True)
-        p.set_defaults(handler=handler)
-        return p
 
-    command("weil", cmd_weil, "restrict an algebra-coefficient scheme")
-    p = command("prolong", cmd_prolong, "prolongation space of the fixture scheme")
+    p = sub.add_parser("weil", help="restrict an algebra-coefficient scheme")
+    common(p)
+    p.set_defaults(handler=cmd_weil)
+
+    p = sub.add_parser("prolong", help="prolongation space of the fixture scheme")
+    common(p)
     p.add_argument("--compose", help="second operator file for the tensor version")
-    p = command("jet", cmd_jet, "jet scheme and optional fibers", order=True)
+    p.set_defaults(handler=cmd_prolong)
+
+    p = sub.add_parser("jet", help="jet scheme and optional fibers")
+    common(p, order=True)
     p.add_argument("--at", help="point file for the linear fiber")
-    p = command(
-        "interpolate", cmd_interpolate, "interpolation map and fiber matrices", True
-    )
+    p.set_defaults(handler=cmd_jet)
+
+    p = sub.add_parser("interpolate", help="interpolation map and fiber matrices")
+    common(p, order=True)
     p.add_argument("--at", help="point file for the fiber matrices")
     p.add_argument("--check-surjectivity", action="store_true")
     p.add_argument("--dim", type=int, help="expected dimension at the point")
-    p = command("nabla", cmd_nabla, "canonical prolongation point over a point")
+    p.set_defaults(handler=cmd_interpolate)
+
+    p = sub.add_parser("nabla", help="canonical prolongation point over a point")
+    common(p)
     p.add_argument("--at", required=True, help="point file")
-    p = command("compose", cmd_compose, "tensor composite of two operators")
+    p.set_defaults(handler=cmd_nabla)
+
+    p = sub.add_parser("compose", help="tensor composite of two operators")
+    common(p)
     p.add_argument("--compose", help="second operator file (default: fixture second)")
-    p = command("compare", cmd_compare, "comparison map along an algebra morphism")
+    p.set_defaults(handler=cmd_compose)
+
+    p = sub.add_parser("compare", help="comparison map along an algebra morphism")
+    common(p)
     p.add_argument("--alpha", help="matrix file overriding the fixture alpha")
-    p = command("check", cmd_check, "run seeded verification suites")
+    p.set_defaults(handler=cmd_compare)
+
+    p = sub.add_parser("check", help="run seeded verification suites")
+    common(p)
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(0), default=100)
+    p.set_defaults(handler=cmd_check)
+
     return parser
 
 
@@ -476,9 +540,7 @@ def main(argv=None) -> int:
         payload = {
             "status": "fail",
             "error": str(err),
-            "residuals": [
-                {"generator": i, "residual": render_value(v)} for i, v in err.residuals
-            ],
+            "residuals": _render_residuals(err),
         }
         _emit(payload, [f"FAIL: {err}"], fmt)
         return 1

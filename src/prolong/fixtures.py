@@ -31,17 +31,14 @@ class Shape(NamedTuple):
     """A JSON value of one of ``kinds`` (never a bool), called ``what`` in
     messages.  ``items`` is the shape of a list's elements, each called
     ``<list field> <its label>``, or of a map's values.  An object has keyed
-    ``fields``; ``required`` names those that must be present, or maps each
-    value of the ``tag`` field to them."""
+    ``fields``, of which those named in ``required`` must be present."""
 
     kinds: type | tuple
     what: str
     items: Shape | None = None
     label: str = "entry"
     fields: dict | None = None
-    required: tuple | dict = ()
-    tag: str | None = None
-    choices: tuple = ()
+    required: tuple = ()
 
 
 OBJECT = "a JSON object"
@@ -52,44 +49,81 @@ POLY = Shape(str, "a polynomial string")
 NAMES = Shape(list, "a list of names", STRING)
 ROW = Shape(list, "a list", SCALAR, "row")
 CELLS = Shape(list, "a list of cells", Shape(list, "a list", SCALAR, "cell"), "row")
-ALGEBRA = Shape(dict, OBJECT, tag="builtin", fields={
-    "builtin": STRING, "name": STRING, "vars": INTEGER, "order": INTEGER,
-    "n": INTEGER, "c": SCALAR, "basis": Shape(list, "a list of labels", STRING),
-    "mult": Shape(list, "a list of rows", CELLS),
-}, required={
-    "truncated": ("vars", "order"), "product": ("n",), "dring": ("c",),
+ALGEBRA = Shape(
+    dict,
+    OBJECT,
+    fields={
+        "builtin": STRING,
+        "name": STRING,
+        "vars": INTEGER,
+        "order": INTEGER,
+        "n": INTEGER,
+        "c": SCALAR,
+        "basis": Shape(list, "a list of labels", STRING),
+        "mult": Shape(list, "a list of rows", CELLS),
+    },
+)
+# the ALGEBRA fields each builtin needs; a spec without ``builtin`` is custom
+ALGEBRA_NEEDS = {
+    "truncated": ("vars", "order"),
+    "product": ("n",),
+    "dring": ("c",),
     None: ("basis", "mult"),
-})
-OPERATOR = Shape(dict, OBJECT, fields={
-    "images": Shape(dict, OBJECT, Shape(list, "a list", POLY)),
-})
+}
+OPERATOR = Shape(
+    dict, OBJECT, fields={"images": Shape(dict, OBJECT, Shape(list, "a list", POLY))}
+)
 # a fixture's ``second`` field and a --compose file
-OPERATOR_FILE = Shape(dict, OBJECT, label="operator file", required=("algebra",),
-                      fields={"algebra": ALGEBRA, "operator": OPERATOR})
+OPERATOR_FILE = Shape(
+    dict,
+    OBJECT,
+    label="operator file",
+    fields={"algebra": ALGEBRA, "operator": OPERATOR},
+    required=("algebra",),
+)
 ALPHA = Shape(list, "a list of rows", ROW)
 # a --alpha file: any object with an ``alpha`` field, a fixture included
-ALPHA_FILE = Shape(dict, OBJECT, label="alpha file", required=("alpha",),
-                   fields={"alpha": ALPHA})
+ALPHA_FILE = Shape(
+    dict, OBJECT, label="alpha file", fields={"alpha": ALPHA}, required=("alpha",)
+)
 POINT = Shape(dict, OBJECT, POLY)
-FIXTURE = Shape(dict, OBJECT, label="fixture", fields={
-    "name": STRING, "dim": INTEGER, "base": NAMES, "vars": NAMES,
-    "ideal": Shape(list, "a list", Shape((str, list), "a string or a list", POLY)),
-    "algebra": ALGEBRA, "operator": OPERATOR, "second": OPERATOR_FILE,
-    "alpha": ALPHA,
-    "morphism": Shape(dict, OBJECT, required=("vars", "assignment"), fields={
-        "vars": NAMES, "assignment": Shape(dict, OBJECT, POLY),
-    }),
-    "point_family": Shape(dict, OBJECT, required=("vars", "values"), fields={
+FAMILY_VALUE = Shape(
+    (dict, str),
+    "a JSON object or a string",
+    fields={"num": POLY, "den": POLY},
+    required=("num",),
+)
+# every fixture field but ``expect``, which is 'pass' or 'fail'
+FIXTURE = Shape(
+    dict,
+    OBJECT,
+    label="fixture",
+    fields={
+        "name": STRING,
+        "dim": INTEGER,
+        "base": NAMES,
         "vars": NAMES,
-        "values": Shape(dict, OBJECT, Shape(
-            (dict, str), "a JSON object or a string",
-            fields={"num": POLY, "den": POLY}, required=("num",),
-        )),
-    }),
-    "points": Shape(list, "a list", POINT),
-    "law": STRING,
-    "expect": Shape(str, "'pass' or 'fail'", choices=("pass", "fail")),
-})
+        "ideal": Shape(list, "a list", Shape((str, list), "a string or a list", POLY)),
+        "algebra": ALGEBRA,
+        "operator": OPERATOR,
+        "second": OPERATOR_FILE,
+        "alpha": ALPHA,
+        "morphism": Shape(
+            dict,
+            OBJECT,
+            fields={"vars": NAMES, "assignment": Shape(dict, OBJECT, POLY)},
+            required=("vars", "assignment"),
+        ),
+        "point_family": Shape(
+            dict,
+            OBJECT,
+            fields={"vars": NAMES, "values": Shape(dict, OBJECT, FAMILY_VALUE)},
+            required=("vars", "values"),
+        ),
+        "points": Shape(list, "a list", POINT),
+        "law": STRING,
+    },
+)
 
 
 def _check(value, shape: Shape, where: str, field: str = "", root: str = ""):
@@ -97,8 +131,7 @@ def _check(value, shape: Shape, where: str, field: str = "", root: str = ""):
     value's dotted name ("" for a whole file) and ``root`` names the list
     field it is an element of."""
     name = field or shape.label
-    typed = isinstance(value, shape.kinds) and not isinstance(value, bool)
-    if not typed or (shape.choices and value not in shape.choices):
+    if not isinstance(value, shape.kinds) or isinstance(value, bool):
         raise FixtureError(f"{where}: {name} must be {shape.what}, got {value!r}")
     prefix = f"{field}." if field else ""
     if isinstance(value, list):
@@ -109,12 +142,8 @@ def _check(value, shape: Shape, where: str, field: str = "", root: str = ""):
         for key, item in value.items():
             _check(item, shape.items, where, prefix + key)
     elif isinstance(value, dict):
-        needs = shape.required
-        if shape.tag:
-            tag = value.get(shape.tag)
-            needs = needs.get(tag, ()) if tag is None or isinstance(tag, str) else ()
         for key, sub in shape.fields.items():
-            if value.get(key) is not None or key in needs:
+            if value.get(key) is not None or key in shape.required:
                 _check(value.get(key), sub, where, prefix + key)
 
 
@@ -147,8 +176,10 @@ def _operator(spec: dict, base_ctx: RingContext, where: str, prefix: str = ""):
     """The operator of an object with ``algebra`` and ``operator`` fields:
     per-generator slot vectors of polynomial strings, and generators left
     unlisted map through the unit slot."""
+    fields = {k: v for k, v in spec["algebra"].items() if v is not None}
+    for key in ALGEBRA_NEEDS.get(fields.get("builtin"), ()):
+        _check(fields.get(key), ALGEBRA.fields[key], where, f"{prefix}algebra.{key}")
     with _building(where, f"{prefix}algebra"):
-        fields = {k: v for k, v in spec["algebra"].items() if v is not None}
         algebra = make_builtin(fields)
     with _building(where, f"{prefix}operator.images"):
         images = {}
@@ -199,20 +230,23 @@ class PointFamily:
 
     def sample(self, scheme: AffineScheme, rng) -> SchemePoint:
         for _ in range(64):
-            constants = {
-                v: self.ctx.const(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            params = {
+                v: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for v in self.ctx.scheme_vars
             }
+            constants = {v: self.ctx.const(c) for v, c in params.items()}
             assignment = {}
+            bad = False
             for coord, num, den in self.values:
                 value = substitute(num, constants, self.ctx).constant_value()
                 if den is not None:
                     lower = substitute(den, constants, self.ctx).constant_value()
                     if lower == 0:
+                        bad = True
                         break
                     value = value / lower
                 assignment[coord] = value
-            else:
+            if not bad:
                 return SchemePoint(scheme, assignment)
         raise FixtureError("point family kept hitting zero denominators")
 
@@ -266,9 +300,12 @@ def _family(spec: dict, scheme: AffineScheme) -> PointFamily:
 def load_fixture(path) -> Fixture:
     path = Path(path)
     data = _read_json(path)
-    name = data.get("name") if isinstance(data, dict) else None
+    name = data.get("name") if isinstance(data, dict) else str(path)
     name = path.stem if name is None else name
     _check(data, FIXTURE, name if isinstance(name, str) else str(path))
+    expect = data.get("expect")
+    if expect not in (None, "pass", "fail"):
+        raise FixtureError(f"{name}: expect must be 'pass' or 'fail', got {expect!r}")
     base = data.get("base") or []
     with _building(name, "base"):
         base_ctx = RingContext(QQ, base_gens=base)
@@ -297,8 +334,17 @@ def load_fixture(path) -> Fixture:
     with _building(name, "points"):
         points = [_point(scheme, entry) for entry in data.get("points") or []]
     return Fixture(
-        name, scheme, operator, second, alpha, morphism, family, points,
-        data.get("law"), data.get("expect") or "pass", data.get("dim"),
+        name=name,
+        scheme=scheme,
+        operator=operator,
+        second_operator=second,
+        alpha=alpha,
+        morphism=morphism,
+        family=family,
+        points=points,
+        law=data.get("law"),
+        expect=expect or "pass",
+        dim=data.get("dim"),
     )
 
 

@@ -794,6 +794,7 @@ def test_exponent_above_the_limit_exits_two_without_traceback(tmp_path):
 # flag files for the sweep: the good ones, then one of each malformed kind
 FLAG_FILES = {
     "point.json": json.dumps({"x": "3/5", "y": "4/5"}),
+    "parametrized_point.json": json.dumps({"x": "t", "y": "t^2"}),
     "second.json": json.dumps(NON_COMMUTING_SECOND),
     "alpha.json": json.dumps({"alpha": [["1", "0", "0"], ["0", "1", "0"]]}),
     "list.json": "[1, 2]",
@@ -901,7 +902,7 @@ def test_mutated_fixtures_load_or_fail_naming_the_fixture(tmp_path_factory, case
     stem, data = case
     path = tmp_path_factory.getbasetemp() / f"{stem}.json"
     path.write_text(json.dumps(data))
-    name = data.get("name", stem) if isinstance(data, dict) else None
+    name = data.get("name", stem) if isinstance(data, dict) else str(path)
     name = stem if name is None else name
     try:
         load_fixture(path)
@@ -935,6 +936,27 @@ def test_flag_files_of_the_wrong_shape_exit_two_naming_the_field(capsys, tmp_pat
     code, payload = run_json(capsys, *conic, flag)
     assert code == 2
     assert payload["error"].startswith(f"{flag}: not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("jet", "--order", 1),
+        ("interpolate", "--order", 1),
+        ("interpolate", "--order", 1, "--check-surjectivity", "--dim", 1),
+    ],
+    ids=["jet", "interpolate", "surjectivity"],
+)
+def test_fiber_commands_need_a_constant_point(capsys, tmp_path, args):
+    """A point file may hold polynomials in the base parameters (it is still
+    a point of the scheme), but a linear fiber needs constants."""
+    flag = tmp_path / "point.json"
+    flag.write_text(json.dumps({"x": "t", "y": "t^2"}))
+    fixture = FIXTURES / "difference_curve.json"
+    code, payload = run_json(capsys, *args, "--input", fixture, "--at", flag)
+    assert code == 2
+    assert payload["error"] == f"{flag}: point.x must be a constant for a fiber, got t"
+    assert run_json(capsys, "nabla", "--input", fixture, "--at", flag)[0] == 0
 
 
 def test_a_bad_alpha_fails_both_of_its_suites_and_keeps_every_report(capsys, tmp_path):
