@@ -71,7 +71,6 @@ from .weil import (
     base_change_scheme,
     point_down,
     point_up,
-    specialize_base,
     weil_restrict,
 )
 from .prolongations import (
@@ -160,7 +159,6 @@ __all__ = [
     "prolong_composed",
     "prolong_morphism",
     "random_poly",
-    "specialize_base",
     "standard_operator",
     "substitute",
     "tensor",

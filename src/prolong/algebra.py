@@ -16,13 +16,23 @@ family interpolating between differential and difference operators.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from .polynomials import MONOMIAL_ONE, MultiPoly, RingContext, exponents_up_to
 
 
+# largest rank an algebra spec may ask for, checked before its table is built
+ALGEBRA_RANK_BUDGET = 48
+
+
 class AlgebraValidationError(ValueError):
     """A structure-constant table violating one of the ring axioms."""
+
+
+def _within_budget(rank: int) -> None:
+    if rank > ALGEBRA_RANK_BUDGET:
+        raise AlgebraValidationError(f"rank over the budget {ALGEBRA_RANK_BUDGET}")
 
 
 def _fractionize(value) -> Fraction:
@@ -61,52 +71,50 @@ class AlgebraScheme:
         self.labels = tuple(str(s) for s in labels)
         self.table = tab
         self.name = name
-        self._validate()
         # nonzero (k, c_ij^k) entries of each cell; the table is immutable
         self.terms = tuple(
             tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
             for row in tab
         )
+        self._validate()
 
     def _validate(self) -> None:
-        rank, tab = self.rank, self.table
+        """Unit law, commutativity and associativity over the sparse terms.
+        By commutativity (i, j, m) fails exactly when (m, j, i) does and
+        (i, j, i) never fails, so only triples with 0 < i < m are checked."""
+        rank, tab, terms = self.rank, self.table, self.terms
         for j in range(rank):
+            if terms[0][j] == terms[j][0] == ((j, 1),):
+                continue
             for k in range(rank):
-                want = Fraction(1 if j == k else 0)
-                if tab[0][j][k] != want:
-                    raise AlgebraValidationError(
-                        f"unit law violated: e_0*e_{j} has coefficient"
-                        f" {tab[0][j][k]} on e_{k}"
-                    )
-                if tab[j][0][k] != want:
-                    raise AlgebraValidationError(
-                        f"unit law violated: e_{j}*e_0 has coefficient"
-                        f" {tab[j][0][k]} on e_{k}"
-                    )
+                for a, b in ((0, j), (j, 0)):
+                    if tab[a][b][k] != int(j == k):
+                        raise AlgebraValidationError(
+                            f"unit law violated: e_{a}*e_{b} has coefficient"
+                            f" {tab[a][b][k]} on e_{k}"
+                        )
         for i in range(rank):
             for j in range(i):
-                if tab[i][j] != tab[j][i]:
+                if terms[i][j] != terms[j][i]:
                     raise AlgebraValidationError(
                         f"commutativity violated at (e_{i}, e_{j})"
                     )
-        for i in range(rank):
-            for j in range(rank):
-                for m in range(rank):
-                    left = [Fraction(0)] * rank
-                    right = [Fraction(0)] * rank
-                    for k in range(rank):
-                        cij = tab[i][j][k]
-                        if cij:
-                            for n in range(rank):
-                                left[n] += cij * tab[k][m][n]
-                        cjm = tab[j][m][k]
-                        if cjm:
-                            for n in range(rank):
-                                right[n] += cjm * tab[i][k][n]
-                    if left != right:
+        for i in range(1, rank):
+            for j in range(1, rank):
+                for m in range(i + 1, rank):
+                    # (e_i e_j) e_m against e_i (e_j e_m) = (e_j e_m) e_i
+                    if self._times(terms[i][j], m) != self._times(terms[j][m], i):
                         raise AlgebraValidationError(
                             f"associativity violated at (e_{i}, e_{j}, e_{m})"
                         )
+
+    def _times(self, cell, m: int) -> dict:
+        """Nonzero coordinates of (sum of c e_k over the cell's terms) * e_m."""
+        out: dict[int, Fraction] = {}
+        for k, c in cell:
+            for n, d in self.terms[k][m]:
+                out[n] = out.get(n, 0) + c * d
+        return {n: v for n, v in out.items() if v}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -328,6 +336,9 @@ def truncated_algebra(nvars: int, order: int) -> AlgebraScheme:
     """Polynomial algebra in ``nvars`` nilpotents truncated above ``order``."""
     if nvars < 1 or order < 0:
         raise ValueError("need at least one variable and nonnegative order")
+    # the rank C(nvars + order, order) grows with both: capped, it stays cheap
+    n, k = min(nvars, ALGEBRA_RANK_BUDGET), min(order, ALGEBRA_RANK_BUDGET)
+    _within_budget(comb(n + k, k))
     exps = exponents_up_to(nvars, order, include_zero=True)
     index = {e: k for k, e in enumerate(exps)}
     names = ["h"] if nvars == 1 else [f"h{i + 1}" for i in range(nvars)]
@@ -359,6 +370,7 @@ def product_algebra(n: int) -> AlgebraScheme:
     """
     if n < 1:
         raise ValueError("need at least one factor")
+    _within_budget(n)
     labels = ["1"] + [f"u{j}" for j in range(1, n)]
     table = []
     for i in range(n):
@@ -408,6 +420,7 @@ def make_builtin(spec) -> AlgebraScheme:
             return dring_algebra(spec["c"])
         raise ValueError(f"unknown builtin algebra {kind!r}")
     if "basis" in spec and "mult" in spec:
+        _within_budget(len(spec["basis"]))
         return custom_algebra(spec["basis"], spec["mult"], name=spec.get("name", "custom"))
     raise ValueError("algebra spec needs either 'builtin' or 'basis'+'mult'")
 
@@ -448,14 +461,9 @@ def tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
             for j in range(le):
                 for jp in range(lf):
                     cell = [Fraction(0)] * rank
-                    ce = e.table[i][j]
-                    cf = f.table[ip][jp]
-                    for k in range(le):
-                        if not ce[k]:
-                            continue
-                        for kp in range(lf):
-                            if cf[kp]:
-                                cell[k * lf + kp] = ce[k] * cf[kp]
+                    for k, c in e.terms[i][j]:
+                        for kp, d in f.terms[ip][jp]:
+                            cell[k * lf + kp] = c * d
                     row.append(cell)
             table.append(row)
     return AlgebraScheme(
@@ -463,20 +471,11 @@ def tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
     )
 
 
-def tensor_swap_permutation(e: AlgebraScheme, f: AlgebraScheme) -> list[int]:
-    """Permutation carrying tensor(E,F) coordinates to tensor(F,E): position
-    j*rank(F) + j' maps to position j'*rank(E) + j."""
-    return [
-        jp * e.rank + j for j in range(e.rank) for jp in range(f.rank)
-    ]
-
-
 def basis_power_expansion(e: AlgebraScheme, gamma: Sequence[int]) -> tuple[Fraction, ...]:
     """Coefficients of prod_j e_j^(gamma_j) in the basis."""
     if len(gamma) != e.rank:
         raise ValueError("exponent vector length does not match rank")
     vec = [Fraction(1)] + [Fraction(0)] * (e.rank - 1)
-    basis_vec = [Fraction(0)] * e.rank
     for j, g in enumerate(gamma):
         if g < 0:
             raise ValueError("negative exponent")

@@ -2,6 +2,10 @@
 
 Buchberger's algorithm over a field, reduced bases, ideal membership and
 equality, plus exact row reduction for rank and kernel computations.
+Membership and equality questions on generator lists are certificate first,
+exact fallback: one sparse rank shows when polynomials are K-linear
+combinations of the generators, which proves them members, and a Groebner
+basis is built only for what that leaves open.
 Base-ring generators participate as ordinary ring variables (ordered after
 the scheme variables by the context), so ideal identities over a polynomial
 base ring become ideal identities here.
@@ -223,13 +227,48 @@ def _as_basis(gens, order: str, pair_limit: int) -> GroebnerBasis:
     return groebner(gens, order, pair_limit)
 
 
+def _in_span(polys: Sequence[MultiPoly], gens: Sequence[MultiPoly]) -> bool:
+    """Whether every poly is a K-linear combination of ``gens``.
+
+    True proves each poly lies in the ideal (gens); False proves nothing.
+    One column per monomial of the supports: the generators' echelon form
+    has the rank of the generators, and stacking the polys under it keeps
+    that rank exactly when they lie in the span.  Polys from more than one
+    context give False, so the exact path raises its own error.
+    """
+    polys = [p for p in polys if not p.is_zero()]
+    gens = [g for g in gens if not g.is_zero()]
+    if not polys:
+        return True
+    ctx = polys[0].ctx
+    if any(p.ctx != ctx for p in polys + gens):
+        return False
+    columns: dict[Monomial, int] = {}
+
+    def row(poly: MultiPoly) -> dict:
+        return {columns.setdefault(m, len(columns)): c for m, c in poly.coeffs.items()}
+
+    echelon, pivots = _rref(ctx.field, [row(g) for g in gens])
+    stacked = _rref(ctx.field, echelon + [row(p) for p in polys])[1]
+    return len(stacked) == len(pivots)
+
+
 def ideal_member(
     poly: MultiPoly,
     gens,
     order: str = "grevlex",
     pair_limit: int = DEFAULT_PAIR_LIMIT,
 ) -> bool:
-    """Exact ideal membership via zero normal form."""
+    """Exact ideal membership: certificate first, exact fallback.
+
+    For a generator list, ``poly`` in span_K(gens) settles membership with
+    one sparse rank; otherwise, and always for a :class:`GroebnerBasis`,
+    membership is a zero normal form under a reduced basis.
+    """
+    if not isinstance(gens, GroebnerBasis):
+        gens = list(gens)
+        if _in_span([poly], gens):
+            return True
     gb = _as_basis(gens, order, pair_limit)
     if not gb.gens:
         return poly.is_zero()
@@ -242,14 +281,23 @@ def ideal_equal(
     order: str = "grevlex",
     pair_limit: int = DEFAULT_PAIR_LIMIT,
 ) -> bool:
-    """Ideal equality as mutual membership of generators."""
-    gb_a = _as_basis(gens_a, order, pair_limit)
-    gb_b = _as_basis(gens_b, order, pair_limit)
-    a_gens = gb_a.gens
-    b_gens = gb_b.gens
-    return all(ideal_member(g, gb_b, order, pair_limit) for g in a_gens) and all(
-        ideal_member(g, gb_a, order, pair_limit) for g in b_gens
-    )
+    """Ideal equality as mutual membership of generators: certificate first,
+    exact fallback.
+
+    Each direction is settled when one side's generators lie in the K-span
+    of the other side's list; a basis of the containing side is built only
+    for a direction the certificate leaves open.
+    """
+    a, b = (g if isinstance(g, GroebnerBasis) else list(g) for g in (gens_a, gens_b))
+    # (B) in (A) first, so a fallback builds A's basis before B's
+    for inner, outer in ((b, a), (a, b)):
+        polys = inner.gens if isinstance(inner, GroebnerBasis) else inner
+        if isinstance(outer, list) and _in_span(polys, outer):
+            continue
+        gb = _as_basis(outer, order, pair_limit)
+        if not all(ideal_member(p, gb, order, pair_limit) for p in polys):
+            return False
+    return True
 
 
 # -- exact linear algebra -------------------------------------------------------
@@ -359,41 +407,6 @@ def kernel_basis(matrix: ExactMatrix) -> list[list]:
             vec[c] = field.neg(row.get(f, field.zero))
         basis.append(vec)
     return basis
-
-
-def solve_linear(matrix: ExactMatrix, rhs: Sequence[object]):
-    """One exact solution of M x = rhs, or None when inconsistent."""
-    field = matrix.field
-    if len(rhs) != matrix.nrows:
-        raise ValueError("right-hand side length mismatch")
-    n = matrix.ncols
-    augmented = []
-    for row, v in zip(matrix.entries, rhs):
-        v = field.coerce(v)
-        augmented.append(row if field.is_zero(v) else {**row, n: v})
-    echelon, pivots = _rref(field, augmented)
-    if n in pivots:
-        return None
-    solution = [field.zero] * n
-    for row, c in zip(echelon, pivots):
-        solution[c] = row.get(n, field.zero)
-    return solution
-
-
-def matrix_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.ncols != b.nrows:
-        raise ValueError("shape mismatch")
-    field = a.field
-    rows = []
-    for arow in a.entries:
-        out = [field.zero] * b.ncols
-        for k, v in arow.items():
-            for j, w in b.entries[k].items():
-                out[j] = field.add(out[j], field.mul(v, w))
-        rows.append(out)
-    return ExactMatrix(field, rows, ncols=b.ncols)
 
 
 def apply_matrix(matrix: ExactMatrix, vector: Sequence[object]) -> list:

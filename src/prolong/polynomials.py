@@ -632,20 +632,6 @@ def substitute(
     return total
 
 
-def evaluate(poly: MultiPoly, assignment: Mapping[str, object]):
-    """Evaluate at scalar values for every variable; returns a scalar."""
-    ctx = poly.ctx
-    consts = {name: ctx.const(v) for name, v in assignment.items()}
-    missing = [
-        ctx.all_vars[i]
-        for i in sorted(poly.variables())
-        if ctx.all_vars[i] not in consts
-    ]
-    if missing:
-        raise ValueError(f"missing values for {missing}")
-    return substitute(poly, consts, ctx).constant_value()
-
-
 # -- divided powers ------------------------------------------------------------
 
 

@@ -13,7 +13,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraScheme,
     _fractionize,
-    tensor_swap_permutation,
 )
 from .operators import RingOperator, compose_operators, expand_with_operator
 from .polynomials import RingContext
@@ -257,22 +256,3 @@ def prolong_composed(
         (e, f),
         renaming,
     )
-
-
-def swap_renaming(
-    scheme: AffineScheme, e: RingOperator, f: RingOperator
-) -> dict[str, str]:
-    """Variable renaming induced by the tensor swap on composed prolongations.
-
-    Sends each variable of the (e, f)-composed prolongation to the matching
-    variable of the (f, e)-composed one.  The underlying permutation is an
-    algebra isomorphism, but it exchanges the two composite operators only
-    when the slot operators commute, so ideal agreement under this renaming
-    is a property of commuting pairs rather than a general fact.
-    """
-    perm = tensor_swap_permutation(e.algebra, f.algebra)
-    renaming = {}
-    for name in scheme.variables:
-        for q, target in enumerate(perm):
-            renaming[f"{name}_{q}"] = f"{name}_{target}"
-    return renaming

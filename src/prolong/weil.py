@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement, AlgebraScheme, evaluate_in_algebra
-from .groebner import DEFAULT_PAIR_LIMIT, groebner, ideal_member
+from .groebner import DEFAULT_PAIR_LIMIT, _in_span, groebner, ideal_member
 from .operators import RingOperator
 from .polynomials import MultiPoly, RingContext, poly_to_str, substitute, transport
 
@@ -313,16 +313,6 @@ def base_change_scheme(
     return AffineScheme(target_ctx, generators)
 
 
-def specialize_base(scheme: AffineScheme, values: Mapping[str, object]) -> AffineScheme:
-    """Specialize named base generators to constants, dropping them from the
-    context; remaining base generators survive."""
-    ctx = scheme.ctx
-    remaining = tuple(g for g in ctx.base_gens if g not in values)
-    target = RingContext(ctx.field, base_gens=remaining, scheme_vars=ctx.scheme_vars)
-    images = {g: target.const(v) for g, v in values.items()}
-    return base_change_scheme(scheme, images, target)
-
-
 # -- morphisms --------------------------------------------------------------------
 
 
@@ -364,11 +354,11 @@ class PolyMorphism:
         return substitute(poly, self.assignment, self.source.ctx)
 
     def is_morphism(self, pair_limit: int = DEFAULT_PAIR_LIMIT) -> bool:
+        pulled = [self.pullback(g) for g in self.target.generators]
+        if _in_span(pulled, self.source.generators):
+            return True
         gb = groebner(self.source.generators, pair_limit=pair_limit)
-        return all(
-            ideal_member(self.pullback(g), gb, pair_limit=pair_limit)
-            for g in self.target.generators
-        )
+        return all(ideal_member(p, gb, pair_limit=pair_limit) for p in pulled)
 
     def apply_to_point(self, point: SchemePoint) -> SchemePoint:
         if point.scheme is not self.source and point.scheme.ctx != self.source.ctx:
@@ -399,17 +389,21 @@ class PolyMorphism:
     def equals_mod_ideal(
         self, other: "PolyMorphism", pair_limit: int = DEFAULT_PAIR_LIMIT
     ) -> bool:
-        """Coordinate-wise agreement modulo the source ideal."""
+        """Coordinate-wise agreement modulo the source ideal: certificate
+        first, exact fallback.  The nonzero differences are settled at once
+        when they lie in the K-span of the source generators; a basis is
+        built only when that fails."""
         if self.source.ctx != other.source.ctx or self.target.ctx != other.target.ctx:
             return False
+        deltas = [
+            self.assignment[name] - other.assignment[name]
+            for name in self.target.variables
+        ]
+        deltas = [d for d in deltas if not d.is_zero()]
+        if _in_span(deltas, self.source.generators):
+            return True
         gb = groebner(self.source.generators, pair_limit=pair_limit)
-        for name in self.target.variables:
-            delta = self.assignment[name] - other.assignment[name]
-            if delta.is_zero():
-                continue
-            if not gb.gens or not gb.contains(delta):
-                return False
-        return True
+        return all(gb.gens and gb.contains(d) for d in deltas)
 
     def __repr__(self) -> str:
         body = ", ".join(

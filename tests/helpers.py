@@ -1,7 +1,9 @@
-"""Independent re-implementations used to cross-check library output.
+"""Independent re-implementations used to cross-check library output, and
+the small utilities only tests need.
 
-Everything here is written naively (recursion over dict entries, factorials,
-term-by-term expansion) and on purpose shares no code with the package.
+The references are written naively (recursion over dict entries,
+factorials, term-by-term expansion, dense loops) and on purpose share no
+code with the package.
 """
 
 from fractions import Fraction
@@ -351,6 +353,46 @@ def reference_groebner(gens, order: str = "grevlex") -> tuple:
     return tuple(sorted(reduced, key=lambda g: key(lead(g), nvars), reverse=True))
 
 
+def reference_algebra_violation(table):
+    """The first ring-axiom violation of a square structure-constant table
+    of Fractions, worded as :class:`AlgebraScheme` words it, or None.
+
+    Dense loops in index order: the unit law on e_0, then commutativity,
+    then associativity over every triple, each side summed over every k and
+    n whether the constant is zero or not.
+    """
+    rank = len(table)
+    for j in range(rank):
+        for k in range(rank):
+            want = Fraction(1 if j == k else 0)
+            if table[0][j][k] != want:
+                return (
+                    f"unit law violated: e_0*e_{j} has coefficient"
+                    f" {table[0][j][k]} on e_{k}"
+                )
+            if table[j][0][k] != want:
+                return (
+                    f"unit law violated: e_{j}*e_0 has coefficient"
+                    f" {table[j][0][k]} on e_{k}"
+                )
+    for i in range(rank):
+        for j in range(i):
+            if list(table[i][j]) != list(table[j][i]):
+                return f"commutativity violated at (e_{i}, e_{j})"
+    for i in range(rank):
+        for j in range(rank):
+            for m in range(rank):
+                left = [Fraction(0)] * rank
+                right = [Fraction(0)] * rank
+                for k in range(rank):
+                    for n in range(rank):
+                        left[n] += table[i][j][k] * table[k][m][n]
+                        right[n] += table[j][m][k] * table[i][k][n]
+                if left != right:
+                    return f"associativity violated at (e_{i}, e_{j}, e_{m})"
+    return None
+
+
 def reference_algebra_mul(x, y):
     """E(R) product term by term: every structure constant adds one scaled
     copy of the slot product to a fresh output polynomial."""
@@ -397,3 +439,97 @@ def reference_evaluate_in_algebra(poly, assignment, algebra, ctx):
             term = reference_algebra_mul(term, power(assignment[name], e))
         total = total + term
     return total
+
+
+# -- test-only utilities over the package's own types ---------------------------
+
+
+def evaluate(poly: MultiPoly, assignment):
+    """Evaluate at scalar values for every variable; returns a scalar."""
+    from prolong.polynomials import substitute
+
+    ctx = poly.ctx
+    consts = {name: ctx.const(v) for name, v in assignment.items()}
+    missing = [
+        ctx.all_vars[i]
+        for i in sorted(poly.variables())
+        if ctx.all_vars[i] not in consts
+    ]
+    if missing:
+        raise ValueError(f"missing values for {missing}")
+    return substitute(poly, consts, ctx).constant_value()
+
+
+def solve_linear(matrix, rhs):
+    """One exact solution of M x = rhs, or None when inconsistent."""
+    from prolong.groebner import _rref
+
+    field = matrix.field
+    if len(rhs) != matrix.nrows:
+        raise ValueError("right-hand side length mismatch")
+    n = matrix.ncols
+    augmented = []
+    for row, v in zip(matrix.entries, rhs):
+        v = field.coerce(v)
+        augmented.append(row if field.is_zero(v) else {**row, n: v})
+    echelon, pivots = _rref(field, augmented)
+    if n in pivots:
+        return None
+    solution = [field.zero] * n
+    for row, c in zip(echelon, pivots):
+        solution[c] = row.get(n, field.zero)
+    return solution
+
+
+def matrix_product(a, b):
+    from prolong.groebner import ExactMatrix
+
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    field = a.field
+    rows = []
+    for arow in a.entries:
+        out = [field.zero] * b.ncols
+        for k, v in arow.items():
+            for j, w in b.entries[k].items():
+                out[j] = field.add(out[j], field.mul(v, w))
+        rows.append(out)
+    return ExactMatrix(field, rows, ncols=b.ncols)
+
+
+def tensor_swap_permutation(e, f) -> list:
+    """Permutation carrying tensor(E,F) coordinates to tensor(F,E): position
+    j*rank(F) + j' maps to position j'*rank(E) + j."""
+    return [jp * e.rank + j for j in range(e.rank) for jp in range(f.rank)]
+
+
+def swap_renaming(scheme, e, f) -> dict:
+    """Variable renaming induced by the tensor swap on composed prolongations.
+
+    Sends each variable of the (e, f)-composed prolongation to the matching
+    variable of the (f, e)-composed one.  The underlying permutation is an
+    algebra isomorphism, but it exchanges the two composite operators only
+    when the slot operators commute, so ideal agreement under this renaming
+    is a property of commuting pairs rather than a general fact.
+    """
+    perm = tensor_swap_permutation(e.algebra, f.algebra)
+    renaming = {}
+    for name in scheme.variables:
+        for q, target in enumerate(perm):
+            renaming[f"{name}_{q}"] = f"{name}_{target}"
+    return renaming
+
+
+def specialize_base(scheme, values):
+    """Specialize named base generators to constants, dropping them from the
+    context; remaining base generators survive."""
+    from prolong.polynomials import RingContext
+    from prolong.weil import base_change_scheme
+
+    ctx = scheme.ctx
+    remaining = tuple(g for g in ctx.base_gens if g not in values)
+    target = RingContext(ctx.field, base_gens=remaining, scheme_vars=ctx.scheme_vars)
+    images = {g: target.const(v) for g, v in values.items()}
+    return base_change_scheme(scheme, images, target)

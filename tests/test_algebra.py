@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_algebra_mul, reference_evaluate_in_algebra
+from helpers import (
+    reference_algebra_mul,
+    reference_algebra_violation,
+    reference_evaluate_in_algebra,
+    tensor_swap_permutation,
+)
 from prolong.scalars import GF, QQ
 from prolong.polynomials import Monomial, MultiPoly, RingContext, parse_poly
 from prolong.algebra import (
+    ALGEBRA_RANK_BUDGET,
     AlgebraScheme,
     AlgebraValidationError,
     basis_power_expansion,
@@ -19,7 +25,6 @@ from prolong.algebra import (
     make_builtin,
     product_algebra,
     tensor,
-    tensor_swap_permutation,
     trivial_algebra,
     truncated_algebra,
 )
@@ -110,6 +115,79 @@ def test_custom_algebra_and_validation():
     ]
     with pytest.raises(AlgebraValidationError, match="associativity"):
         custom_algebra(["1", "a", "b"], bad_assoc)
+
+
+def _violation(table):
+    """The message AlgebraScheme raises for ``table``, or None."""
+    try:
+        AlgebraScheme([f"e{i}" for i in range(len(table))], table)
+    except AlgebraValidationError as err:
+        return str(err)
+    return None
+
+
+VALID_TABLES = [
+    trivial_algebra(),
+    dual_numbers(),
+    truncated_algebra(1, 3),
+    truncated_algebra(2, 2),
+    product_algebra(3),
+    dring_algebra(Fraction(2, 3)),
+    make_builtin(GAUSS),
+    tensor(product_algebra(2), dual_numbers()),
+]
+NUDGES = st.sampled_from([Fraction(-1), Fraction(1), Fraction(1, 2), Fraction(-3, 4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_validation_matches_the_dense_oracle_on_perturbed_tables(data):
+    # a valid table with one structure constant moved, or with a cell and its
+    # mirror moved together so that commutativity survives
+    algebra = data.draw(st.sampled_from(VALID_TABLES))
+    rank = algebra.rank
+    table = [[list(cell) for cell in row] for row in algebra.table]
+    i, j, k = (data.draw(st.integers(0, rank - 1)) for _ in range(3))
+    nudge = data.draw(NUDGES)
+    table[i][j][k] += nudge
+    if i != j and data.draw(st.booleans()):
+        table[j][i][k] += nudge
+    assert _violation(table) == reference_algebra_violation(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_validation_matches_the_dense_oracle_on_random_tables(data):
+    # unital commutative tables with random cells off the unit, so that the
+    # associativity check decides; a few random entries also break the unit
+    rank = data.draw(st.integers(1, 4))
+    entry = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(1, 2)])
+    table = [[[Fraction(int(k == max(i, j) if min(i, j) == 0 else 0)) for k in range(rank)]
+              for j in range(rank)] for i in range(rank)]
+    for i in range(1, rank):
+        for j in range(i, rank):
+            cell = [data.draw(entry) for _ in range(rank)]
+            table[i][j], table[j][i] = cell, list(cell)
+    if data.draw(st.integers(0, 4)) == 0:
+        a, b, k = (data.draw(st.integers(0, rank - 1)) for _ in range(3))
+        table[a][b][k] = data.draw(entry)
+    assert _violation(table) == reference_algebra_violation(table)
+
+
+def test_algebra_rank_budget_is_checked_before_the_table():
+    assert truncated_algebra(1, ALGEBRA_RANK_BUDGET - 1).rank == ALGEBRA_RANK_BUDGET
+    assert product_algebra(ALGEBRA_RANK_BUDGET).rank == ALGEBRA_RANK_BUDGET
+    over = [
+        {"builtin": "truncated", "vars": 1, "order": ALGEBRA_RANK_BUDGET},
+        {"builtin": "truncated", "vars": 10**9, "order": 10**9},
+        {"builtin": "truncated", "vars": 3, "order": 5},
+        {"builtin": "product", "n": ALGEBRA_RANK_BUDGET + 1},
+        # the table is never read: refused on the basis length alone
+        {"basis": ["x"] * (ALGEBRA_RANK_BUDGET + 1), "mult": []},
+    ]
+    for spec in over:
+        with pytest.raises(AlgebraValidationError, match=f"budget {ALGEBRA_RANK_BUDGET}$"):
+            make_builtin(spec)
 
 
 def test_make_builtin():

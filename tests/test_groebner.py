@@ -2,11 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_groebner, reference_normal_form, s_polynomial
+from helpers import (
+    matrix_product,
+    reference_groebner,
+    reference_normal_form,
+    s_polynomial,
+    solve_linear,
+)
 from prolong.scalars import GF, QQ
+from prolong.weil import AffineScheme, PolyMorphism
 from prolong.polynomials import (
     Monomial,
     MultiPoly,
@@ -17,6 +24,7 @@ from prolong.polynomials import (
 )
 from prolong.groebner import (
     EngineLimitError,
+    _in_span,
     ExactMatrix,
     GroebnerBasis,
     apply_matrix,
@@ -24,10 +32,8 @@ from prolong.groebner import (
     ideal_equal,
     ideal_member,
     kernel_basis,
-    matrix_product,
     normal_form,
     rank,
-    solve_linear,
 )
 
 
@@ -270,3 +276,78 @@ def test_normal_form_is_idempotent_on_reduced_bases(data, ctx, order):
     remainder = normal_form(poly, gb.gens, order)
     assert normal_form(remainder, gb.gens, order) == remainder
     assert gb.contains(poly - remainder)
+
+
+# -- the span certificate and its exact fallback --------------------------------
+
+
+def _reference_member(poly, gens) -> bool:
+    return reference_normal_form(poly, reference_groebner(gens)).is_zero()
+
+
+def _shift(data, ctx, g):
+    """g times a nonconstant monomial: in the ideal (g), never in its K-span."""
+    mono = data.draw(st.sampled_from([m for m in _monomials(ctx.nvars) if m.deg]))
+    return MultiPoly(ctx, {mono: ctx.field.one}) * g
+
+
+def _moved(scheme, deltas):
+    """The identity of ``scheme`` and the map that adds ``deltas`` to x, y."""
+    ctx = scheme.ctx
+    plane = AffineScheme(ctx, [])
+    shifted = {v: ctx.var(v) + d for v, d in zip(("x", "y"), deltas)}
+    identity = {v: ctx.var(v) for v in ("x", "y")}
+    return PolyMorphism(scheme, plane, identity), PolyMorphism(scheme, plane, shifted)
+
+
+@engine
+@given(st.data(), rings())
+def test_equal_ideals_the_certificate_misses_fall_back(data, ctx):
+    g = data.draw(polys(ctx))
+    xg = _shift(data, ctx, g)
+    assert not _in_span([xg], [g])
+    assert ideal_equal([g], [g, xg]) and ideal_equal([g, xg], [g])
+    assert ideal_member(xg, [g])
+    identity, moved = _moved(AffineScheme(ctx, [g]), [xg, ctx.zero()])
+    assert identity.equals_mod_ideal(moved)
+
+
+@engine
+@given(st.data(), rings())
+def test_unequal_ideals_stay_unequal(data, ctx):
+    gens = data.draw(st.lists(polys(ctx), min_size=1, max_size=2))
+    extra = data.draw(polys(ctx))
+    assume(not _reference_member(extra, gens))
+    bigger = gens + [extra]
+    assert not ideal_equal(gens, bigger) and not ideal_equal(bigger, gens)
+    assert not ideal_member(extra, gens)
+    identity, moved = _moved(AffineScheme(ctx, gens), [ctx.zero(), extra])
+    assert not identity.equals_mod_ideal(moved)
+
+
+@engine
+@given(st.data(), rings())
+def test_ideal_questions_match_the_reference_engine(data, ctx):
+    gens = data.draw(st.lists(polys(ctx), min_size=0, max_size=3))
+    # multiplier sums: constants stay in the span, polynomials leave it,
+    # and an optional stray term usually leaves the ideal
+    candidates = []
+    for _ in range(2):
+        poly = ctx.zero()
+        for g in gens:
+            if data.draw(st.booleans()):
+                multiplier = data.draw(polys(ctx, max_terms=2))
+                if data.draw(st.booleans()):
+                    multiplier = ctx.const(data.draw(st.integers(1, 6)))
+                poly = poly + multiplier * g
+        if not gens or data.draw(st.booleans()):
+            poly = poly + data.draw(polys(ctx, max_terms=2))
+        candidates.append(poly)
+    members = [_reference_member(p, gens) for p in candidates]
+    assert [ideal_member(p, gens) for p in candidates] == members
+    others = data.draw(st.lists(polys(ctx), min_size=0, max_size=2))
+    same = reference_groebner(gens) == reference_groebner(others)
+    assert ideal_equal(gens, others) == same == ideal_equal(others, gens)
+    assert ideal_equal(gens, gens + candidates) == all(members)
+    identity, moved = _moved(AffineScheme(ctx, gens), candidates)
+    assert identity.equals_mod_ideal(moved) == all(members)

@@ -7,8 +7,9 @@ from helpers import (
     degree_in,
     divided_power_oracle,
     local_quotient_dimension,
+    matrix_product,
+    specialize_base,
 )
-from prolong.groebner import matrix_product
 from prolong.jets import (
     JetScheme,
     jet_fiber,
@@ -31,7 +32,6 @@ from prolong.weil import (
     NotScalarPointError,
     PolyMorphism,
     SchemePoint,
-    specialize_base,
 )
 
 

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rref
+from helpers import dense_rref, matrix_product, solve_linear
 from prolong.groebner import (
     ExactMatrix,
     _rref,
     apply_matrix,
     kernel_basis,
-    matrix_product,
     rank,
-    solve_linear,
 )
 from prolong.scalars import GF, QQ
 

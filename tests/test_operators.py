@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from helpers import tensor_swap_permutation
 from prolong.scalars import QQ
 from prolong.polynomials import RingContext, parse_poly, random_poly
 from prolong.algebra import (
     dring_algebra,
     dual_numbers,
     product_algebra,
-    tensor_swap_permutation,
     trivial_algebra,
     truncated_algebra,
 )

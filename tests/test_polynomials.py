@@ -15,7 +15,6 @@ from prolong.polynomials import (
     RingContext,
     UnknownIdentifierError,
     compositions,
-    evaluate,
     exponents_up_to,
     grevlex_key,
     grlex_key,
@@ -29,6 +28,7 @@ from prolong.polynomials import (
 from helpers import (
     ReferenceMonomial,
     divided_power_oracle,
+    evaluate,
     reference_grevlex_key,
     reference_grlex_key,
     taylor_shift,

@@ -8,7 +8,8 @@ from prolong.algebra import (
     trivial_algebra,
     truncated_algebra,
 )
-from prolong.groebner import ExactMatrix, ideal_equal, rank, solve_linear
+from helpers import solve_linear, swap_renaming
+from prolong.groebner import ExactMatrix, ideal_equal, rank
 from prolong.operators import RingOperator, standard_operator
 from prolong.polynomials import (
     Monomial,
@@ -25,7 +26,6 @@ from prolong.prolongations import (
     prolong,
     prolong_composed,
     prolong_morphism,
-    swap_renaming,
     validate_algebra_map,
 )
 from prolong.scalars import QQ

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import specialize_base
 from prolong.scalars import QQ
 from prolong.polynomials import (
     RingContext,
@@ -26,7 +27,6 @@ from prolong.weil import (
     base_change_scheme,
     point_down,
     point_up,
-    specialize_base,
     weil_restrict,
 )
 
