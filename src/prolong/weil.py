@@ -321,7 +321,8 @@ class PolyMorphism:
 
     The assignment gives, per target variable, its pullback in the source
     coordinate ring.  Whether target generators pull back into the source
-    ideal is checked on demand (it costs a Groebner run).
+    ideal is checked on demand: a span certificate first, a Groebner run
+    only when that fails.
     """
 
     __slots__ = ("source", "target", "assignment")
@@ -399,11 +400,10 @@ class PolyMorphism:
             self.assignment[name] - other.assignment[name]
             for name in self.target.variables
         ]
-        deltas = [d for d in deltas if not d.is_zero()]
         if _in_span(deltas, self.source.generators):
             return True
         gb = groebner(self.source.generators, pair_limit=pair_limit)
-        return all(gb.gens and gb.contains(d) for d in deltas)
+        return all(ideal_member(d, gb, pair_limit=pair_limit) for d in deltas)
 
     def __repr__(self) -> str:
         body = ", ".join(
