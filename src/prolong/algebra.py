@@ -30,9 +30,9 @@ class AlgebraValidationError(ValueError):
     """A structure-constant table violating one of the ring axioms."""
 
 
-def _within_budget(rank: int) -> None:
+def _within_budget(rank: int, what: str = "rank") -> None:
     if rank > ALGEBRA_RANK_BUDGET:
-        raise AlgebraValidationError(f"rank over the budget {ALGEBRA_RANK_BUDGET}")
+        raise AlgebraValidationError(f"{what} over the budget {ALGEBRA_RANK_BUDGET}")
 
 
 def _fractionize(value) -> Fraction:
@@ -336,9 +336,12 @@ def truncated_algebra(nvars: int, order: int) -> AlgebraScheme:
     """Polynomial algebra in ``nvars`` nilpotents truncated above ``order``."""
     if nvars < 1 or order < 0:
         raise ValueError("need at least one variable and nonnegative order")
-    # the rank C(nvars + order, order) grows with both: capped, it stays cheap
-    n, k = min(nvars, ALGEBRA_RANK_BUDGET), min(order, ALGEBRA_RANK_BUDGET)
-    _within_budget(comb(n + k, k))
+    # each exponent tuple has nvars entries, and at order 0 the rank is 1 for
+    # any nvars, so nvars has its own budget; the rank C(nvars + order, order)
+    # is then computed on a capped order, so it stays cheap
+    _within_budget(nvars, "vars")
+    k = min(order, ALGEBRA_RANK_BUDGET)
+    _within_budget(comb(nvars + k, k))
     exps = exponents_up_to(nvars, order, include_zero=True)
     index = {e: k for k, e in enumerate(exps)}
     names = ["h"] if nvars == 1 else [f"h{i + 1}" for i in range(nvars)]
@@ -451,9 +454,11 @@ def _tensor_labels(e: AlgebraScheme, f: AlgebraScheme) -> list[str]:
 
 def tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
     """Tensor product with basis e_j (x) f_j' ordered (j, j')-lexicographically,
-    so the flat index of (j, j') is j*rank(F) + j'."""
+    so the flat index of (j, j') is j*rank(F) + j'.  The rank is checked
+    against the budget before the table is built."""
     le, lf = e.rank, f.rank
     rank = le * lf
+    _within_budget(rank, f"tensor rank {le} x {lf}")
     table = []
     for i in range(le):
         for ip in range(lf):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import laws
+from .algebra import AlgebraValidationError
 from .fixtures import (
     Fixture,
     FixtureError,
@@ -551,7 +552,7 @@ def main(argv=None) -> int:
             fmt,
         )
         return 3
-    except (UsageError, FixtureError, OSError) as err:
+    except (UsageError, FixtureError, AlgebraValidationError, OSError) as err:
         _emit({"status": "error", "error": str(err)}, [f"error: {err}"], fmt)
         return 2
     _emit(payload, lines, fmt)

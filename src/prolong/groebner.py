@@ -11,11 +11,13 @@ the scheme variables by the context), so ideal identities over a polynomial
 base ring become ideal identities here.
 
 Division keeps its working terms in a heap, so each monomial's order key is
-computed once, when the monomial enters.  Critical pairs wait in a heap under
-the normal strategy, and the Gebauer-Moeller criteria (Gebauer & Moeller
-1988, on top of Buchberger's product criterion) drop pairs whose
-S-polynomials are known to reduce to zero.  A configurable cap on the
-S-polynomial reductions turns runaway computations into an explicit
+computed once, when the monomial enters.  Bases are built incrementally, one
+generator at a time, by a signature-based Buchberger in the manner of F5
+(Faugere 2002) and GVW (Gao, Volny & Wang 2016): every element carries a
+signature, position over term in the basis's monomial order, J-pairs are
+taken by increasing signature, and the syzygy and rewrite criteria skip the
+pairs whose reductions would end in zero or repeat an earlier one.  A cap on
+the J-pair reductions turns runaway computations into an explicit
 :class:`EngineLimitError` instead of a wrong or slow answer.
 """
 
@@ -25,7 +27,13 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .polynomials import MONOMIAL_ORDERS, Monomial, MultiPoly, RingContext
+from .polynomials import (
+    MONOMIAL_ONE,
+    MONOMIAL_ORDERS,
+    Monomial,
+    MultiPoly,
+    RingContext,
+)
 from .scalars import Field
 
 DEFAULT_PAIR_LIMIT = 50000
@@ -75,16 +83,18 @@ def normal_form(
     basis is a reduced Groebner basis.
     """
     key = MONOMIAL_ORDERS[order]
-    table = [(g.leading_monomial(key), g) for g in basis if not g.is_zero()]
+    table = [(g.leading_monomial(key), g, None) for g in basis if not g.is_zero()]
     return _reduce(poly, table, key)
 
 
 def _reduce(
     poly: MultiPoly,
-    table: Sequence[tuple[Monomial, MultiPoly]],
+    table: Sequence[tuple[Monomial, MultiPoly, Monomial | None]],
     key: Callable[[Monomial, int], tuple],
-) -> MultiPoly:
-    """Remainder of ``poly`` by the ``(leading monomial, divisor)`` table.
+    sig: Monomial | None = None,
+) -> MultiPoly | None:
+    """Remainder of ``poly`` by the ``(leading monomial, divisor, signature)``
+    table; with a signature ``sig``, its regular top reduction.
 
     The working terms sit in a heap on the negated order key, two ints (the
     degree and the packed exponents), computed once per monomial; distinct
@@ -92,9 +102,16 @@ def _reduce(
     term a step adds is smaller than the one it removes, so a popped monomial
     never comes back; a cancelled term keeps a zero coefficient and is
     dropped when popped.
+
+    Under ``sig`` a divisor of signature ``s`` reduces only when ``s`` times
+    the step's monomial is below ``sig`` (a divisor of signature None always
+    does), and the first term left unreduced ends the reduction, tail as it
+    is.  When that term could be reduced at ``sig`` itself, the reduction is
+    singular and the result is None.
     """
     field = poly.ctx.field
     nvars = poly.ctx.nvars
+    bound = None if sig is None else key(sig, nvars)
 
     def entry(m: Monomial) -> tuple[int, int, Monomial]:
         degree, rest = key(m, nvars)
@@ -109,9 +126,15 @@ def _reduce(
         lc = work.pop(lm)
         if field.is_zero(lc):
             continue
-        for gm, g in table:
+        singular = False
+        for gm, g, s in table:
             if gm.divides(lm):
                 shift = lm.divide(gm)
+                if s is not None:
+                    shifted = key(shift.mul(s), nvars)
+                    if shifted >= bound:
+                        singular = singular or shifted == bound
+                        continue
                 factor = field.div(lc, g.coeffs[gm])
                 for m, c in g.coeffs.items():
                     if m == gm:
@@ -124,6 +147,8 @@ def _reduce(
                     )
                 break
         else:
+            if sig is not None:
+                return None if singular else MultiPoly(poly.ctx, {lm: lc, **work})
             remainder[lm] = lc
     return MultiPoly(poly.ctx, remainder)
 
@@ -133,17 +158,26 @@ def groebner(
     order: str = "grevlex",
     pair_limit: int = DEFAULT_PAIR_LIMIT,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis via Buchberger with the Gebauer-Moeller update.
+    """Reduced Groebner basis by an incremental, signature-based Buchberger.
 
-    Every generator, input or new, enters through the update.  Among its new
-    pairs the chain criterion keeps only those whose lcm no other new lcm
-    divides, and the product criterion then drops the coprime ones.  An old
-    pair goes when the new leading monomial divides its lcm and differs
-    from both lcms it forms with the pair's ends.  Generators whose leading
-    monomial the new one divides stop forming pairs, but every generator
-    still reduces.  Pairs are taken by the normal strategy: smallest lcm
-    degree first, ties broken by pair index.  Raises
-    :class:`EngineLimitError` after ``pair_limit`` S-polynomial reductions.
+    The generators enter one at a time, in input order, each first reduced
+    by the reduced basis of those before it.  An element built while the
+    i-th one is added has a signature t*e_i, kept as the monomial t; the
+    basis of the earlier generators counts as below every such signature
+    (position over term, the basis's order on t).  The J-pair of two
+    elements is the multiple of the one with the larger signature whose
+    leading monomial is their lcm, and J-pairs are taken by increasing
+    signature, each signature once.  Three criteria apply:
+
+    * syzygy: a signature that lm(h) divides, for h in the earlier basis
+      (the Koszul syzygies), or that a reduction to zero had, is skipped;
+    * rewrite: a signature is reduced as the multiple of the latest element
+      whose signature divides it;
+    * only regular top reductions are made, and an element whose leading
+      term could only be reduced at its own signature is dropped.
+
+    The result is minimized and tail-reduced.  Raises
+    :class:`EngineLimitError` after ``pair_limit`` J-pair reductions.
     """
     if order not in MONOMIAL_ORDERS:
         raise ValueError(f"unknown monomial order {order!r}")
@@ -154,71 +188,84 @@ def groebner(
     if any(g.ctx != ctx for g in basis):
         raise ValueError("generators from different contexts")
     key = MONOMIAL_ORDERS[order]
-    field = ctx.field
-    table: list[tuple[Monomial, MultiPoly]] = []  # (leading monomial, monic)
-    active: list[int] = []  # generators that still form new pairs
-    pairs: list[tuple[int, int, int, Monomial]] = []  # (lcm degree, i, j, lcm)
-
-    def update(poly: MultiPoly) -> None:
-        nonlocal active, pairs
-        h, lc = _leading(poly, order)
-        new = len(table)
-        table.append((h, poly.scale(field.inv(lc))))
-        fresh = [(table[k][0].lcm(h), k) for k in active]
-        kept = []
-        for n, (lcm, k) in enumerate(fresh):
-            if table[k][0].coprime(h) or not any(
-                other.divides(lcm) for other, _ in fresh[n + 1 :] + kept
-            ):
-                kept.append((lcm, k))
-        pairs = [
-            (d, i, j, lcm)
-            for d, i, j, lcm in pairs
-            if not h.divides(lcm)
-            or table[i][0].lcm(h) == lcm
-            or table[j][0].lcm(h) == lcm
-        ]
-        pairs += [
-            (lcm.deg, k, new, lcm)
-            for lcm, k in kept
-            if not table[k][0].coprime(h)
-        ]
-        heapq.heapify(pairs)
-        active = [k for k in active if not h.divides(table[k][0])] + [new]
-
-    for g in basis:
-        update(g)
-    one = field.one
+    field, nvars = ctx.field, ctx.nvars
+    # (leading monomial, monic element, signature; None for the earlier basis)
+    table: list[tuple[Monomial, MultiPoly, Monomial | None]] = []
     reductions = 0
-    while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        reductions += 1
-        if reductions > pair_limit:
-            raise EngineLimitError(pair_limit)
-        (fm, f), (gm, g) = table[i], table[j]
-        s = MultiPoly(ctx, {lcm.divide(fm): one}) * f
-        s = s - MultiPoly(ctx, {lcm.divide(gm): one}) * g
-        remainder = _reduce(s, table, key)
-        if not remainder.is_zero():
-            update(remainder)
 
+    def add(poly: MultiPoly, sig: Monomial) -> None:
+        lm, lc = _leading(poly, order)
+        new = len(table)
+        for j, (gm, _, s) in enumerate(table):
+            lcm = lm.lcm(gm)
+            k, at = new, lcm.divide(lm).mul(sig)
+            if s is not None:
+                other = lcm.divide(gm).mul(s)
+                if other == at:  # equal signatures make no J-pair
+                    continue
+                if key(other, nvars) > key(at, nvars):
+                    k, at = j, other
+            # a pair is its signature's key, the element it multiplies and
+            # the other one, from which the signature is found again
+            if not any(z.divides(at) for z in syzygies):
+                heapq.heappush(pairs, (*key(at, nvars), k, j if k == new else new))
+        table.append((lm, poly.scale(field.inv(lc)), sig))
+
+    for f in basis:
+        table = _reduced(table, key, nvars)
+        f = _reduce(f, table, key)
+        if f.is_zero():
+            continue
+        syzygies = [gm for gm, _, _ in table]  # Koszul: lm(h)*e_i
+        pairs: list[tuple[int, int, int, int]] = []
+        add(f, MONOMIAL_ONE)
+        done = None  # pairs of one signature leave the heap together
+        while pairs:
+            k, j = heapq.heappop(pairs)[2:]
+            gm, _, s = table[k]
+            sig = table[j][0].lcm(gm).divide(gm).mul(s)
+            if sig == done or any(z.divides(sig) for z in syzygies):
+                continue
+            done = sig
+            reductions += 1
+            if reductions > pair_limit:
+                raise EngineLimitError(pair_limit)
+            # rewrite: reduce the latest element whose signature divides sig
+            later = range(len(table) - 1, k - 1, -1)
+            _, g, s = table[next(r for r in later if table[r][2].divides(sig))]
+            t = sig.divide(s)
+            h = MultiPoly(ctx, {m.mul(t): c for m, c in g.coeffs.items()})
+            h = _reduce(h, table, key, sig)
+            if h is not None and h.is_zero():
+                syzygies.append(sig)
+            elif h is not None:
+                add(h, sig)
+    return GroebnerBasis(tuple(g for _, g, _ in _reduced(table, key, nvars)), order)
+
+
+def _reduced(
+    table: Sequence[tuple[Monomial, MultiPoly, Monomial | None]],
+    key: Callable[[Monomial, int], tuple],
+    nvars: int,
+) -> list[tuple[Monomial, MultiPoly, None]]:
+    """The reduced basis of a Groebner basis given as a monic table, largest
+    leading monomial first."""
     # minimize: drop generators whose leading monomial another one divides
     minimal = [
-        (lm, g)
-        for i, (lm, g) in enumerate(table)
+        (lm, g, None)
+        for i, (lm, g, _) in enumerate(table)
         if not any(
             k != i and other.divides(lm) and (other != lm or k < i)
-            for k, (other, _) in enumerate(table)
+            for k, (other, _, _) in enumerate(table)
         )
     ]
     # tail-reduce each against the others; leading terms stay monic
-    nvars = ctx.nvars
     reduced = [
-        (key(lm, nvars), _reduce(g, minimal[:i] + minimal[i + 1 :], key))
-        for i, (lm, g) in enumerate(minimal)
+        (lm, _reduce(g, minimal[:i] + minimal[i + 1 :], key), None)
+        for i, (lm, g, _) in enumerate(minimal)
     ]
-    reduced.sort(key=lambda item: item[0], reverse=True)
-    return GroebnerBasis(tuple(g for _, g in reduced), order)
+    reduced.sort(key=lambda item: key(item[0], nvars), reverse=True)
+    return reduced
 
 
 def _as_basis(gens, order: str, pair_limit: int) -> GroebnerBasis:

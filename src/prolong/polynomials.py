@@ -660,10 +660,19 @@ def compositions(total: int, slots: int) -> list[tuple[int, ...]]:
     in descending lexicographic order (weight drains from earlier slots)."""
     if slots == 0:
         return [()] if total == 0 else []
-    out = []
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, slots - 1):
-            out.append((first,) + rest)
+    # the successor moves one unit out of the last nonzero slot before the
+    # final one, into the slot after it, together with the final slot's load
+    exps = [total] + [0] * (slots - 1)
+    out = [tuple(exps)]
+    last = slots - 1
+    while exps[last] != total:
+        i = last - 1
+        while not exps[i]:
+            i -= 1
+        tail, exps[last] = exps[last], 0
+        exps[i] -= 1
+        exps[i + 1] = tail + 1
+        out.append(tuple(exps))
     return out
 
 

@@ -14,9 +14,11 @@ from prolong.polynomials import (
     MONOMIAL_ORDERS,
     Monomial,
     MultiPoly,
+    RingContext,
     exponents_up_to,
     hasse_derivative,
 )
+from prolong.scalars import QQ
 
 
 class ReferenceMonomial:
@@ -83,6 +85,18 @@ class ReferenceMonomial:
 
     def __hash__(self) -> int:
         return hash(self.exps)
+
+
+def reference_compositions(total: int, slots: int) -> list:
+    """Length-``slots`` tuples summing to ``total`` in descending
+    lexicographic order, by recursion on the first slot."""
+    if slots == 0:
+        return [()] if total == 0 else []
+    out = []
+    for first in range(total, -1, -1):
+        for rest in reference_compositions(total - first, slots - 1):
+            out.append((first,) + rest)
+    return out
 
 
 def reference_grlex_key(m: ReferenceMonomial, nvars: int) -> tuple:
@@ -442,6 +456,44 @@ def reference_evaluate_in_algebra(poly, assignment, algebra, ctx):
 
 
 # -- test-only utilities over the package's own types ---------------------------
+
+
+def cyclic(n: int, field=None) -> list:
+    """The cyclic-n system: the elementary symmetric sums of n cyclically
+    adjacent products of x0..x(n-1), and their full product minus 1."""
+    ctx = RingContext(field or QQ, scheme_vars=tuple(f"x{i}" for i in range(n)))
+    xs = [ctx.var(name) for name in ctx.scheme_vars]
+    gens = []
+    for d in range(1, n):
+        total = ctx.zero()
+        for i in range(n):
+            term = ctx.one()
+            for j in range(d):
+                term = term * xs[(i + j) % n]
+            total = total + term
+        gens.append(total)
+    product = ctx.one()
+    for x in xs:
+        product = product * x
+    return gens + [product - 1]
+
+
+def count_zero_reductions(monkeypatch) -> list:
+    """Record, for every division the Groebner engine runs from now on,
+    whether it ended in zero."""
+    import importlib
+
+    module = importlib.import_module("prolong.groebner")
+    reduce = module._reduce
+    outcomes = []
+
+    def counted(*args):
+        remainder = reduce(*args)
+        outcomes.append(remainder is not None and remainder.is_zero())
+        return remainder
+
+    monkeypatch.setattr(module, "_reduce", counted)
+    return outcomes
 
 
 def evaluate(poly: MultiPoly, assignment):

@@ -6,12 +6,13 @@ by printing a single verdict line, so running with ``-s`` (or reading captured
 output) shows the whole matrix at a glance.
 """
 
+import hashlib
 import importlib
 import random
 import time
 from fractions import Fraction
 
-from helpers import divided_power_oracle, partial_derivative
+from helpers import count_zero_reductions, divided_power_oracle, partial_derivative
 from prolong.algebra import (
     dring_algebra,
     dual_numbers,
@@ -41,6 +42,7 @@ from prolong.polynomials import (
     exponents_up_to,
     hasse_derivative,
     parse_poly,
+    poly_to_str,
     random_poly,
     substitute,
     transport,
@@ -148,6 +150,22 @@ def quotient_squares():
         imap_e = interpolation_map(parabola, m, trunc, jet=jetx)
         imap_f = interpolation_map(parabola, m, e, jet=jetx)
         yield quotient_square(alpha, imap_e, imap_f)
+
+
+def composite_triangles():
+    """Criterion 08's triangles over dual (x) product(2): the line at order
+    2 and the parabola at order 1, each as the scheme, the order, the
+    iterated map and the nonzero differences from the composite map."""
+    e = standard_operator(DUAL, PLAIN)
+    f = standard_operator(PROD2, PLAIN)
+    line, parabola = plain_scheme(("x",)), plain_scheme(("x", "y"), ["y - x^2"])
+    for scheme, m in ((line, 2), (parabola, 1)):
+        _, ef = compose_operators(e, f)
+        imap_ef = interpolation_map(scheme, m, ef)
+        imap_e = interpolation_map(scheme, m, e)
+        imap_f = interpolation_map(imap_e.prolongation.scheme, m, f)
+        assert imap_ef.source.z_variables == imap_f.source.z_variables
+        yield scheme, m, *composite_triangle(imap_ef, imap_e, imap_f)
 
 
 def test_criterion_01_differential_prolongation_formula():
@@ -422,14 +440,7 @@ def test_criterion_08_interpolation_diagrams_commute():
         checked.append(f"morphism m={m}")
 
     # triangle over a composite operator, tensor rank 4
-    f = standard_operator(PROD2, PLAIN)
-    for scheme, m in ((plain_scheme(("x",)), 2), (plain_scheme(("x", "y"), ["y - x^2"]), 1)):
-        _, ef = compose_operators(e, f)
-        imap_ef = interpolation_map(scheme, m, ef)
-        imap_e = interpolation_map(scheme, m, e)
-        imap_f = interpolation_map(imap_e.prolongation.scheme, m, f)
-        assert imap_ef.source.z_variables == imap_f.source.z_variables
-        composite, deltas = composite_triangle(imap_ef, imap_e, imap_f)
+    for scheme, m, composite, deltas in composite_triangles():
         if deltas:
             assert scheme.generators
             gb = groebner(list(composite.source.generators))
@@ -467,6 +478,26 @@ def test_span_certificates_settle_criteria_01_and_08_without_groebner(monkeypatc
     for left, right in quotient_squares():
         assert left.equals_mod_ideal(right)
     assert calls == []
+
+
+# sha256 of the parabola triangle's reduced basis, one printed generator a
+# line, as the Gebauer-Moeller engine computed it: the all-pairs reference
+# engine is too slow on these 8 generators in 16 variables
+TRIANGLE_BASIS_SHA256 = (
+    "1798031b55ae386391d6372b978ac312dcfb1b7ea82d6b9b260618edf46a157f"
+)
+
+
+def test_the_triangle_basis_is_pinned_and_no_division_ends_in_zero(monkeypatch):
+    parabola = list(composite_triangles())[-1][2].source
+    gens = list(parabola.generators)
+    assert (len(gens), parabola.ctx.nvars) == (8, 16)
+    outcomes = count_zero_reductions(monkeypatch)
+    basis = groebner(gens).gens
+    assert outcomes and not any(outcomes)
+    text = "\n".join(poly_to_str(g) for g in basis)
+    assert len(basis) == 56
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIANGLE_BASIS_SHA256
 
 
 def test_criterion_09_coefficient_laws_and_affine_surjectivity():

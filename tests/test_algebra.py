@@ -182,6 +182,7 @@ def test_algebra_rank_budget_is_checked_before_the_table():
         {"builtin": "truncated", "vars": 1, "order": ALGEBRA_RANK_BUDGET},
         {"builtin": "truncated", "vars": 10**9, "order": 10**9},
         {"builtin": "truncated", "vars": 3, "order": 5},
+        {"builtin": "truncated", "vars": ALGEBRA_RANK_BUDGET + 1, "order": 0},
         {"builtin": "product", "n": ALGEBRA_RANK_BUDGET + 1},
         # the table is never read: refused on the basis length alone
         {"basis": ["x"] * (ALGEBRA_RANK_BUDGET + 1), "mult": []},

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ import prolong
 import prolong.cli
 import prolong.interpolation as interpolation
 import prolong.prolongations as prolongations
+from prolong.algebra import ALGEBRA_RANK_BUDGET
 from prolong.cli import main
 from prolong.fixtures import FixtureError, load_fixture, load_fixtures
 from prolong.groebner import EngineLimitError
@@ -195,6 +197,41 @@ def test_prolong_compose_matches_fixture_second(capsys, tmp_path):
     assert len(payload["vars"]) == 4
     assert len(payload["generators"]) == 4
     assert payload["renaming"]["x_3"] == "x_1_1"
+
+
+def test_tensor_products_over_the_rank_budget_exit_two(capsys, tmp_path):
+    """Two rank-10 algebras would make a rank-100 tensor table."""
+    spec = {
+        "algebra": {"builtin": "truncated", "vars": 1, "order": 9},
+        "operator": {"images": {}},
+    }
+    fixture = tmp_path / "big.json"
+    big = {"name": "big", "vars": ["x"], "ideal": ["x^2"], **spec, "second": spec}
+    fixture.write_text(json.dumps(big))
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps(spec))
+    message = f"tensor rank 10 x 10 over the budget {ALGEBRA_RANK_BUDGET}"
+    for command in (
+        ["compose"],
+        ["compose", "--compose", second],
+        ["prolong", "--compose", second],
+    ):
+        start = time.perf_counter()
+        code, payload = run_json(capsys, *command, "--input", fixture)
+        assert time.perf_counter() - start < 1
+        assert (code, payload["error"]) == (2, message)
+
+
+def test_a_truncated_algebra_in_2000_variables_is_an_input_error(capsys, tmp_path):
+    wide = {"builtin": "truncated", "vars": 2000, "order": 0}
+    fixture = tmp_path / "wide.json"
+    fixture.write_text(
+        json.dumps({"name": "wide", "vars": ["x"], "ideal": ["x^2"], "algebra": wide})
+    )
+    code, payload = run_json(capsys, "prolong", "--input", fixture)
+    assert code == 2
+    budget = f"vars over the budget {ALGEBRA_RANK_BUDGET}"
+    assert payload["error"] == f"wide: algebra: {budget}"
 
 
 def test_compare_validates_and_rejects_bad_matrices(capsys, tmp_path):

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    count_zero_reductions,
+    cyclic,
     matrix_product,
     reference_groebner,
     reference_normal_form,
@@ -133,14 +135,30 @@ def test_engine_limit():
 
 
 def test_criteria_skip_pairs_that_reduce_to_zero():
-    # cyclic-3: all pairs with non-coprime leading monomials take six
-    # reductions; the Gebauer-Moeller criteria leave two
+    # cyclic-3: the Koszul syzygies leave no J-pair to reduce; cyclic-4
+    # takes exactly four J-pair reductions
     ctx = RingContext(QQ, scheme_vars=("x", "y", "z"))
     texts = ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
     gens = [parse_poly(t, ctx) for t in texts]
-    assert groebner(gens, pair_limit=2).gens == reference_groebner(gens)
+    assert groebner(gens, pair_limit=0).gens == reference_groebner(gens)
+    gens = cyclic(4)
+    assert groebner(gens, pair_limit=4).gens == reference_groebner(gens)
     with pytest.raises(EngineLimitError):
-        groebner(gens, pair_limit=1)
+        groebner(gens, pair_limit=3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("order", ["grevlex", "grlex"])
+def test_cyclic_four_matches_the_reference_engine(field, order):
+    gens = cyclic(4, field)
+    assert groebner(gens, order).gens == reference_groebner(gens, order)
+
+
+def test_no_division_ends_in_zero_on_cyclic_three(monkeypatch):
+    gens = cyclic(3)
+    outcomes = count_zero_reductions(monkeypatch)
+    assert groebner(gens).gens == reference_groebner(gens)
+    assert outcomes and not any(outcomes)
 
 
 def test_groebner_basis_container():

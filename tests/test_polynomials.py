@@ -29,6 +29,7 @@ from helpers import (
     ReferenceMonomial,
     divided_power_oracle,
     evaluate,
+    reference_compositions,
     reference_grevlex_key,
     reference_grlex_key,
     taylor_shift,
@@ -331,6 +332,14 @@ def test_compositions_order():
     assert compositions(1, 0) == []
     assert exponents_up_to(2, 2) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert exponents_up_to(1, 2, include_zero=True) == [(0,), (1,), (2,)]
+
+
+def test_compositions_match_the_recursive_reference():
+    for slots in range(6):
+        for total in range(7):
+            assert compositions(total, slots) == reference_compositions(total, slots)
+    # one stack frame per slot would pass the interpreter's recursion limit
+    assert compositions(0, 5000) == [(0,) * 5000]
 
 
 def test_taylor_shift_frozen():
