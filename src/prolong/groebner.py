@@ -2,10 +2,11 @@
 
 Buchberger's algorithm over a field, reduced bases, ideal membership and
 equality, plus exact row reduction for rank and kernel computations.
-Membership and equality questions on generator lists are certificate first,
-exact fallback: one sparse rank shows when polynomials are K-linear
-combinations of the generators, which proves them members, and a Groebner
-basis is built only for what that leaves open.
+Every membership and equality question goes through :func:`first_nonmember`,
+certificate first, exact fallback: one sparse rank shows when polynomials are
+K-linear combinations of the generators, which proves them members, and a
+Groebner basis is built only for what that leaves open.  The one monomial
+order is grevlex.
 Base-ring generators participate as ordinary ring variables (ordered after
 the scheme variables by the context), so ideal identities over a polynomial
 base ring become ideal identities here.
@@ -14,7 +15,7 @@ Division keeps its working terms in a heap, so each monomial's order key is
 computed once, when the monomial enters.  Bases are built incrementally, one
 generator at a time, by a signature-based Buchberger in the manner of F5
 (Faugere 2002) and GVW (Gao, Volny & Wang 2016): every element carries a
-signature, position over term in the basis's monomial order, J-pairs are
+signature, position over term with grevlex on the terms, J-pairs are
 taken by increasing signature, and the syzygy and rewrite criteria skip the
 pairs whose reductions would end in zero or repeat an earlier one.  A cap on
 the J-pair reductions turns runaway computations into an explicit
@@ -25,15 +26,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .polynomials import (
-    MONOMIAL_ONE,
-    MONOMIAL_ORDERS,
-    Monomial,
-    MultiPoly,
-    RingContext,
-)
+from .polynomials import MONOMIAL_ONE, Monomial, MultiPoly, grevlex_key
 from .scalars import Field
 
 DEFAULT_PAIR_LIMIT = 50000
@@ -51,46 +46,34 @@ class EngineLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    gens: tuple[MultiPoly, ...]
-    order: str
+    """A reduced Groebner basis under grevlex, the one monomial order the
+    engine uses."""
 
-    @property
-    def ctx(self) -> RingContext:
-        if not self.gens:
-            raise ValueError("empty basis has no context")
-        return self.gens[0].ctx
+    gens: tuple[MultiPoly, ...]
 
     def normal_form(self, poly: MultiPoly) -> MultiPoly:
-        return normal_form(poly, self.gens, self.order)
+        return normal_form(poly, self.gens)
 
     def contains(self, poly: MultiPoly) -> bool:
         return self.normal_form(poly).is_zero()
 
 
-def _leading(poly: MultiPoly, order: str) -> tuple[Monomial, object]:
-    key = MONOMIAL_ORDERS[order]
-    lm = poly.leading_monomial(key)
-    return lm, poly.coeffs[lm]
-
-
-def normal_form(
-    poly: MultiPoly, basis: Sequence[MultiPoly], order: str = "grevlex"
-) -> MultiPoly:
+def normal_form(poly: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     """Remainder of ``poly`` under multivariate division by ``basis``.
 
     Divisors are tried in list order (first divisible leading monomial wins),
     which makes the result deterministic for any basis and canonical when the
     basis is a reduced Groebner basis.
     """
-    key = MONOMIAL_ORDERS[order]
-    table = [(g.leading_monomial(key), g, None) for g in basis if not g.is_zero()]
-    return _reduce(poly, table, key)
+    table = [
+        (g.leading_monomial(grevlex_key), g, None) for g in basis if not g.is_zero()
+    ]
+    return _reduce(poly, table)
 
 
 def _reduce(
     poly: MultiPoly,
     table: Sequence[tuple[Monomial, MultiPoly, Monomial | None]],
-    key: Callable[[Monomial, int], tuple],
     sig: Monomial | None = None,
 ) -> MultiPoly | None:
     """Remainder of ``poly`` by the ``(leading monomial, divisor, signature)``
@@ -111,10 +94,10 @@ def _reduce(
     """
     field = poly.ctx.field
     nvars = poly.ctx.nvars
-    bound = None if sig is None else key(sig, nvars)
+    bound = None if sig is None else grevlex_key(sig, nvars)
 
     def entry(m: Monomial) -> tuple[int, int, Monomial]:
-        degree, rest = key(m, nvars)
+        degree, rest = grevlex_key(m, nvars)
         return -degree, -rest, m
 
     work = dict(poly.coeffs)
@@ -131,7 +114,7 @@ def _reduce(
             if gm.divides(lm):
                 shift = lm.divide(gm)
                 if s is not None:
-                    shifted = key(shift.mul(s), nvars)
+                    shifted = grevlex_key(shift.mul(s), nvars)
                     if shifted >= bound:
                         singular = singular or shifted == bound
                         continue
@@ -154,9 +137,7 @@ def _reduce(
 
 
 def groebner(
-    gens: Iterable[MultiPoly],
-    order: str = "grevlex",
-    pair_limit: int = DEFAULT_PAIR_LIMIT,
+    gens: Iterable[MultiPoly], pair_limit: int = DEFAULT_PAIR_LIMIT
 ) -> GroebnerBasis:
     """Reduced Groebner basis by an incremental, signature-based Buchberger.
 
@@ -164,7 +145,7 @@ def groebner(
     by the reduced basis of those before it.  An element built while the
     i-th one is added has a signature t*e_i, kept as the monomial t; the
     basis of the earlier generators counts as below every such signature
-    (position over term, the basis's order on t).  The J-pair of two
+    (position over term, grevlex on t).  The J-pair of two
     elements is the multiple of the one with the larger signature whose
     leading monomial is their lcm, and J-pairs are taken by increasing
     signature, each signature once.  Three criteria apply:
@@ -179,22 +160,19 @@ def groebner(
     The result is minimized and tail-reduced.  Raises
     :class:`EngineLimitError` after ``pair_limit`` J-pair reductions.
     """
-    if order not in MONOMIAL_ORDERS:
-        raise ValueError(f"unknown monomial order {order!r}")
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
-        return GroebnerBasis((), order)
+        return GroebnerBasis(())
     ctx = basis[0].ctx
     if any(g.ctx != ctx for g in basis):
         raise ValueError("generators from different contexts")
-    key = MONOMIAL_ORDERS[order]
     field, nvars = ctx.field, ctx.nvars
     # (leading monomial, monic element, signature; None for the earlier basis)
     table: list[tuple[Monomial, MultiPoly, Monomial | None]] = []
     reductions = 0
 
     def add(poly: MultiPoly, sig: Monomial) -> None:
-        lm, lc = _leading(poly, order)
+        lm = poly.leading_monomial(grevlex_key)
         new = len(table)
         for j, (gm, _, s) in enumerate(table):
             lcm = lm.lcm(gm)
@@ -203,17 +181,18 @@ def groebner(
                 other = lcm.divide(gm).mul(s)
                 if other == at:  # equal signatures make no J-pair
                     continue
-                if key(other, nvars) > key(at, nvars):
+                if grevlex_key(other, nvars) > grevlex_key(at, nvars):
                     k, at = j, other
             # a pair is its signature's key, the element it multiplies and
             # the other one, from which the signature is found again
             if not any(z.divides(at) for z in syzygies):
-                heapq.heappush(pairs, (*key(at, nvars), k, j if k == new else new))
-        table.append((lm, poly.scale(field.inv(lc)), sig))
+                pair = (*grevlex_key(at, nvars), k, j if k == new else new)
+                heapq.heappush(pairs, pair)
+        table.append((lm, poly.scale(field.inv(poly.coeffs[lm])), sig))
 
     for f in basis:
-        table = _reduced(table, key, nvars)
-        f = _reduce(f, table, key)
+        table = _reduced(table, nvars)
+        f = _reduce(f, table)
         if f.is_zero():
             continue
         syzygies = [gm for gm, _, _ in table]  # Koszul: lm(h)*e_i
@@ -235,18 +214,16 @@ def groebner(
             _, g, s = table[next(r for r in later if table[r][2].divides(sig))]
             t = sig.divide(s)
             h = MultiPoly(ctx, {m.mul(t): c for m, c in g.coeffs.items()})
-            h = _reduce(h, table, key, sig)
+            h = _reduce(h, table, sig)
             if h is not None and h.is_zero():
                 syzygies.append(sig)
             elif h is not None:
                 add(h, sig)
-    return GroebnerBasis(tuple(g for _, g, _ in _reduced(table, key, nvars)), order)
+    return GroebnerBasis(tuple(g for _, g, _ in _reduced(table, nvars)))
 
 
 def _reduced(
-    table: Sequence[tuple[Monomial, MultiPoly, Monomial | None]],
-    key: Callable[[Monomial, int], tuple],
-    nvars: int,
+    table: Sequence[tuple[Monomial, MultiPoly, Monomial | None]], nvars: int
 ) -> list[tuple[Monomial, MultiPoly, None]]:
     """The reduced basis of a Groebner basis given as a monic table, largest
     leading monomial first."""
@@ -261,17 +238,11 @@ def _reduced(
     ]
     # tail-reduce each against the others; leading terms stay monic
     reduced = [
-        (lm, _reduce(g, minimal[:i] + minimal[i + 1 :], key), None)
+        (lm, _reduce(g, minimal[:i] + minimal[i + 1 :]), None)
         for i, (lm, g, _) in enumerate(minimal)
     ]
-    reduced.sort(key=lambda item: key(item[0], nvars), reverse=True)
+    reduced.sort(key=lambda item: grevlex_key(item[0], nvars), reverse=True)
     return reduced
-
-
-def _as_basis(gens, order: str, pair_limit: int) -> GroebnerBasis:
-    if isinstance(gens, GroebnerBasis):
-        return gens
-    return groebner(gens, order, pair_limit)
 
 
 def _in_span(polys: Sequence[MultiPoly], gens: Sequence[MultiPoly]) -> bool:
@@ -300,51 +271,46 @@ def _in_span(polys: Sequence[MultiPoly], gens: Sequence[MultiPoly]) -> bool:
     return len(stacked) == len(pivots)
 
 
-def ideal_member(
-    poly: MultiPoly,
-    gens,
-    order: str = "grevlex",
-    pair_limit: int = DEFAULT_PAIR_LIMIT,
-) -> bool:
-    """Exact ideal membership: certificate first, exact fallback.
+def first_nonmember(
+    polys: Iterable[MultiPoly], gens, pair_limit: int = DEFAULT_PAIR_LIMIT
+) -> int | None:
+    """Index of the first poly outside the ideal (gens), or None when every
+    one lies in it: certificate first, exact fallback.
 
-    For a generator list, ``poly`` in span_K(gens) settles membership with
-    one sparse rank; otherwise, and always for a :class:`GroebnerBasis`,
-    membership is a zero normal form under a reduced basis.
+    For a generator list, polys in span_K(gens) are settled at once by one
+    sparse rank, and a basis is built only when that fails; a
+    :class:`GroebnerBasis` goes straight to normal forms.  Under the empty
+    basis only the zero polynomial is a member.
     """
+    polys = list(polys)
     if not isinstance(gens, GroebnerBasis):
         gens = list(gens)
-        if _in_span([poly], gens):
-            return True
-    gb = _as_basis(gens, order, pair_limit)
-    if not gb.gens:
-        return poly.is_zero()
-    return gb.contains(poly)
+        if _in_span(polys, gens):
+            return None
+        gens = groebner(gens, pair_limit)
+    return next((i for i, p in enumerate(polys) if not gens.contains(p)), None)
+
+
+def ideal_member(poly: MultiPoly, gens, pair_limit: int = DEFAULT_PAIR_LIMIT) -> bool:
+    """Exact ideal membership of ``poly`` in (gens), a generator list or a
+    :class:`GroebnerBasis`."""
+    return first_nonmember([poly], gens, pair_limit) is None
 
 
 def ideal_equal(
-    gens_a,
-    gens_b,
-    order: str = "grevlex",
+    gens_a: Iterable[MultiPoly],
+    gens_b: Iterable[MultiPoly],
     pair_limit: int = DEFAULT_PAIR_LIMIT,
 ) -> bool:
-    """Ideal equality as mutual membership of generators: certificate first,
-    exact fallback.
+    """Ideal equality of two generator lists as mutual membership.
 
-    Each direction is settled when one side's generators lie in the K-span
-    of the other side's list; a basis of the containing side is built only
-    for a direction the certificate leaves open.
+    (B) in (A) is asked first, so a fallback builds A's basis before B's.
     """
-    a, b = (g if isinstance(g, GroebnerBasis) else list(g) for g in (gens_a, gens_b))
-    # (B) in (A) first, so a fallback builds A's basis before B's
-    for inner, outer in ((b, a), (a, b)):
-        polys = inner.gens if isinstance(inner, GroebnerBasis) else inner
-        if isinstance(outer, list) and _in_span(polys, outer):
-            continue
-        gb = _as_basis(outer, order, pair_limit)
-        if not all(ideal_member(p, gb, order, pair_limit) for p in polys):
-            return False
-    return True
+    a, b = list(gens_a), list(gens_b)
+    return (
+        first_nonmember(b, a, pair_limit) is None
+        and first_nonmember(a, b, pair_limit) is None
+    )
 
 
 # -- exact linear algebra -------------------------------------------------------

@@ -22,12 +22,13 @@ from .jets import (
     jet_fiber,
     jet_scheme,
     linear_system,
+    scalar_values,
     z_name,
 )
 from .operators import RingOperator
 from .polynomials import Monomial, compositions, hasse_derivative, substitute
 from .prolongations import Prolongation, nabla, prolong
-from .weil import AffineScheme, NotScalarPointError, PolyMorphism, SchemePoint
+from .weil import AffineScheme, PolyMorphism, SchemePoint
 
 
 def multinomial(total: int, parts) -> int:
@@ -96,12 +97,6 @@ class InterpolationMap:
     @property
     def assignment(self):
         return self.morphism.assignment
-
-    def pullback(self, poly):
-        return self.morphism.pullback(poly)
-
-    def is_morphism(self) -> bool:
-        return self.morphism.is_morphism()
 
 
 def interpolation_map(
@@ -183,13 +178,7 @@ def fiber_matrices_at(
     npoint = nabla(scheme, operator, point, result=pro)
     m_src = jet_fiber(pro.scheme, order, npoint, jet=imap.source)
     tctx = imap.target.ctx
-    values = {}
-    for name, val in npoint.assignment.items():
-        if not val.is_constant():
-            raise NotScalarPointError(
-                f"coordinate {name!r} is not a scalar; specialize the base first"
-            )
-        values[name] = tctx.const(val.constant_value())
+    values = scalar_values(npoint, tctx)
     nplain = len(scheme.generators) * imap.operator.algebra.rank
     wcols = [
         f"{z}_{j}"
@@ -225,13 +214,7 @@ def jacobian_rank(scheme: AffineScheme, point) -> int:
     if not isinstance(point, SchemePoint):
         point = SchemePoint(scheme, point)
     ctx = scheme.ctx
-    values = {}
-    for name, val in point.assignment.items():
-        if not val.is_constant():
-            raise NotScalarPointError(
-                f"coordinate {name!r} is not a scalar; specialize the base first"
-            )
-        values[name] = ctx.const(val.constant_value())
+    values = scalar_values(point, ctx)
     rows = []
     for gen in scheme.generators:
         row = []

@@ -133,6 +133,20 @@ def linear_system(polys, values, ctx: RingContext, columns) -> ExactMatrix:
     return ExactMatrix(field, rows, col_labels=list(columns))
 
 
+def scalar_values(point: SchemePoint, ctx: RingContext) -> dict[str, MultiPoly]:
+    """The point's coordinates as constants of ``ctx``.  Raises
+    :class:`NotScalarPointError` on a coordinate that still depends on the
+    base ring."""
+    values = {}
+    for name, value in point.assignment.items():
+        if not value.is_constant():
+            raise NotScalarPointError(
+                f"coordinate {name!r} is not a scalar; specialize the base first"
+            )
+        values[name] = ctx.const(value.constant_value())
+    return values
+
+
 def jet_fiber(
     scheme: AffineScheme, order: int, point, jet: JetScheme | None = None
 ) -> LinearFiber:
@@ -150,19 +164,9 @@ def jet_fiber(
         point = SchemePoint(scheme, point)
     if point.scheme is not scheme:
         raise ValueError("point lies on a different scheme")
-    ctx = jet.ctx
-    values = {}
-    for name, value in point.assignment.items():
-        if not value.is_constant():
-            raise NotScalarPointError(
-                f"coordinate {name!r} is not a scalar; specialize the base first"
-            )
-        values[name] = ctx.const(value.constant_value())
-    ngens = len(scheme.generators)
-    matrix = linear_system(
-        jet.scheme.generators[ngens:], values, ctx, jet.z_variables
-    )
-    return LinearFiber(matrix)
+    values = scalar_values(point, jet.ctx)
+    polys = jet.scheme.generators[len(scheme.generators) :]
+    return LinearFiber(linear_system(polys, values, jet.ctx, jet.z_variables))
 
 
 def _series(poly: MultiPoly, indices) -> dict[tuple[int, ...], MultiPoly]:

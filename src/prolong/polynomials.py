@@ -101,9 +101,6 @@ class Monomial:
         small = self.deg + other.deg < _FIELD  # then p % _FIELD sums the fields
         return _packed(p, p % _FIELD if small else sum(e for _, e in _fields(p)), n)
 
-    def coprime(self, other: "Monomial") -> bool:
-        return self.lcm(other).p == self.p + other.p  # max equals sum: a 0 per field
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.p == other.p
 
@@ -143,12 +140,6 @@ def grlex_key(m: Monomial, nvars: int) -> tuple[int, int]:
 def grevlex_key(m: Monomial, nvars: int) -> tuple[int, int]:
     """Graded reverse lexicographic key; larger key means larger monomial."""
     return (m.deg, -m.p)
-
-
-MONOMIAL_ORDERS: dict[str, Callable[[Monomial, int], tuple[int, int]]] = {
-    "grlex": grlex_key,
-    "grevlex": grevlex_key,
-}
 
 
 class RingContext:

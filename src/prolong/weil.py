@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement, AlgebraScheme, evaluate_in_algebra
-from .groebner import DEFAULT_PAIR_LIMIT, _in_span, groebner, ideal_member
+from .groebner import first_nonmember
 from .operators import RingOperator
 from .polynomials import MultiPoly, RingContext, poly_to_str, substitute, transport
 
@@ -354,12 +354,9 @@ class PolyMorphism:
         """Image of a target-ring polynomial in the source ring."""
         return substitute(poly, self.assignment, self.source.ctx)
 
-    def is_morphism(self, pair_limit: int = DEFAULT_PAIR_LIMIT) -> bool:
+    def is_morphism(self) -> bool:
         pulled = [self.pullback(g) for g in self.target.generators]
-        if _in_span(pulled, self.source.generators):
-            return True
-        gb = groebner(self.source.generators, pair_limit=pair_limit)
-        return all(ideal_member(p, gb, pair_limit=pair_limit) for p in pulled)
+        return first_nonmember(pulled, self.source.generators) is None
 
     def apply_to_point(self, point: SchemePoint) -> SchemePoint:
         if point.scheme is not self.source and point.scheme.ctx != self.source.ctx:
@@ -387,23 +384,15 @@ class PolyMorphism:
             scheme, scheme, {v: scheme.ctx.var(v) for v in scheme.variables}
         )
 
-    def equals_mod_ideal(
-        self, other: "PolyMorphism", pair_limit: int = DEFAULT_PAIR_LIMIT
-    ) -> bool:
-        """Coordinate-wise agreement modulo the source ideal: certificate
-        first, exact fallback.  The nonzero differences are settled at once
-        when they lie in the K-span of the source generators; a basis is
-        built only when that fails."""
+    def equals_mod_ideal(self, other: "PolyMorphism") -> bool:
+        """Coordinate-wise agreement modulo the source ideal."""
         if self.source.ctx != other.source.ctx or self.target.ctx != other.target.ctx:
             return False
         deltas = [
             self.assignment[name] - other.assignment[name]
             for name in self.target.variables
         ]
-        if _in_span(deltas, self.source.generators):
-            return True
-        gb = groebner(self.source.generators, pair_limit=pair_limit)
-        return all(ideal_member(d, gb, pair_limit=pair_limit) for d in deltas)
+        return first_nonmember(deltas, self.source.generators) is None
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -11,14 +11,18 @@ from math import factorial, lcm
 
 from prolong.polynomials import (
     MONOMIAL_ONE,
-    MONOMIAL_ORDERS,
     Monomial,
     MultiPoly,
     RingContext,
     exponents_up_to,
+    grevlex_key,
+    grlex_key,
     hasse_derivative,
 )
 from prolong.scalars import QQ
+
+# the package's monomial order keys by name; the engine itself uses grevlex
+MONOMIAL_ORDERS = {"grlex": grlex_key, "grevlex": grevlex_key}
 
 
 class ReferenceMonomial:
@@ -69,10 +73,6 @@ class ReferenceMonomial:
         for i, e in other.exps:
             out[i] = max(out.get(i, 0), e)
         return ReferenceMonomial(out.items())
-
-    def coprime(self, other) -> bool:
-        mine = set(self.indices())
-        return not any(i in mine for i in other.indices())
 
     def dense(self, nvars: int) -> tuple:
         out = [0] * nvars
@@ -192,7 +192,6 @@ def local_quotient_dimension(scheme, point, order: int) -> int:
     """
     from prolong.groebner import groebner
     from prolong.polynomials import (
-        MONOMIAL_ORDERS,
         compositions,
         exponents_up_to,
         substitute,
@@ -211,8 +210,7 @@ def local_quotient_dimension(scheme, point, order: int) -> int:
     for exp in compositions(order + 1, len(names)):
         gens.append(ctx.monomial({n: e for n, e in zip(names, exp) if e}))
     basis = groebner(gens)
-    key = MONOMIAL_ORDERS[basis.order]
-    leading = [g.leading_monomial(key) for g in basis.gens]
+    leading = [g.leading_monomial(grevlex_key) for g in basis.gens]
     standard = 0
     for exp in exponents_up_to(len(names), order, include_zero=True):
         m = Monomial((i, e) for i, e in enumerate(exp) if e)
@@ -340,7 +338,7 @@ def reference_groebner(gens, order: str = "grevlex") -> tuple:
         i, j = min(pairs, key=lcm_degree)
         pairs.remove((i, j))
         fm, gm = lead(basis[i]), lead(basis[j])
-        if fm.coprime(gm):
+        if not set(fm.indices()) & set(gm.indices()):
             continue
         lcm = fm.lcm(gm)
         one = ctx.field.one

@@ -106,7 +106,7 @@ def test_frozen_assignment_line_dual_order_two():
         "z_2_1": "2*z_1_1",
     }
     assert imap.source.z_variables == ("z_1_0", "z_0_1", "z_2_0", "z_1_1", "z_0_2")
-    assert imap.is_morphism()
+    assert imap.morphism.is_morphism()
 
 
 def test_trivial_algebra_gives_a_renaming():
@@ -118,7 +118,7 @@ def test_trivial_algebra_gives_a_renaming():
             assert poly_to_str(poly) == name[: -len("_0")]
         else:
             assert poly_to_str(poly) == name
-    assert imap.is_morphism()
+    assert imap.morphism.is_morphism()
 
 
 def test_unit_slot_laws_for_truncated_algebras():
@@ -226,7 +226,7 @@ def test_pullbacks_reproduce_source_generators():
     ]
     for scheme, operator, order in fixtures:
         imap = interpolation_map(scheme, order, operator)
-        pulled = [imap.pullback(g) for g in imap.target.scheme.generators]
+        pulled = [imap.morphism.pullback(g) for g in imap.target.scheme.generators]
         assert pulled == list(imap.source.scheme.generators)
 
 

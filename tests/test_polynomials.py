@@ -60,8 +60,6 @@ def test_monomial_ops():
     assert Monomial(((0, 1),)).divides(m)
     assert m.divide(Monomial(((0, 1),))).exps == ((0, 1), (2, 1))
     assert m.lcm(n).exps == ((0, 2), (1, 3), (2, 1))
-    assert not m.coprime(n)
-    assert m.coprime(Monomial(((1, 4),)))
     assert Monomial(((1, 0),)) == MONOMIAL_ONE
 
 
@@ -158,7 +156,6 @@ def test_monomial_operations_match_the_reference(u, v, multiple):
             a.divide(b)
     assert a.lcm(b).exps == ra.lcm(rb).exps
     assert a.lcm(b).degree() == ra.lcm(rb).degree()
-    assert a.coprime(b) == ra.coprime(rb)
     assert (a == b) == (ra == rb)
     if a == b:
         assert hash(a) == hash(b)
