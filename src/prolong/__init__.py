@@ -68,7 +68,6 @@ from .weil import (
     PointError,
     PolyMorphism,
     SchemePoint,
-    base_change_scheme,
     point_down,
     point_up,
     weil_restrict,
@@ -126,7 +125,6 @@ __all__ = [
     "SchemePoint",
     "SurjectivityReport",
     "UnknownIdentifierError",
-    "base_change_scheme",
     "check_dring_law",
     "check_hasse_axioms",
     "check_surjectivity",

@@ -53,15 +53,6 @@ class RingOperator:
         self.ctx = ctx
         self.images = dict(images)
 
-    def image_in(self, ctx: RingContext, gen: str) -> AlgebraElement:
-        """The image of a generator transported into a larger context."""
-        value = self.images[gen]
-        if ctx == self.ctx:
-            return value
-        return AlgebraElement(
-            self.algebra, ctx, tuple(transport(s, ctx) for s in value.slots)
-        )
-
     def extend(self, poly: MultiPoly) -> AlgebraElement:
         """Ring-homomorphism extension to any base-ring polynomial."""
         if poly.ctx != self.ctx:
@@ -151,8 +142,9 @@ def expand_with_operator(
     """Evaluate a full polynomial with base coefficients pushed through ``op``
     and scheme variables replaced by the given algebra elements."""
     assignment = dict(scheme_images)
-    for g in op.ctx.base_gens:
-        assignment[g] = op.image_in(ctx, g)
+    for g, value in op.images.items():
+        slots = tuple(transport(s, ctx) for s in value.slots)
+        assignment[g] = AlgebraElement(op.algebra, ctx, slots)
     return evaluate_in_algebra(poly, assignment, op.algebra, ctx)
 
 

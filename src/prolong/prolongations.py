@@ -1,6 +1,8 @@
-"""Prolongation spaces: Weil restriction of a scheme after base change along
-a ring operator, the induced maps on points and morphisms, comparison maps
-between different operators, and composite prolongations over tensor algebras.
+"""Prolongation spaces, the induced maps on points and morphisms, comparison
+maps between different operators, and composite prolongations over tensor
+algebras.  A prolongation, the Weil restriction of a scheme's base change
+along a ring operator, is built in one expansion: each generator at the
+generic point x_i -> sum_j x_i_j e_j, base coefficients through the operator.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from .algebra import (
 )
 from .operators import RingOperator, compose_operators, expand_with_operator
 from .polynomials import RingContext
-from .weil import (
-    AffineScheme,
-    PolyMorphism,
-    SchemePoint,
-    base_change_scheme,
-    weil_restrict,
-)
+from .weil import AffineScheme, PolyMorphism, SchemePoint, generic_point
 
 
 @dataclass(frozen=True)
@@ -62,20 +58,23 @@ class ComposedProlongation(Prolongation):
 def prolong(scheme: AffineScheme, operator: RingOperator) -> Prolongation:
     """Restrict the operator base change of the scheme back to the base.
 
-    For an ambient space with r variables and an algebra of rank l the
-    result lives in r*l variables named with slot suffixes.
+    Each generator is expanded as :func:`prolong_morphism` expands a
+    coordinate; its slots are the new generators.  For an ambient space with
+    r variables and an algebra of rank l the result lives in r*l variables.
     """
     if scheme.is_algebra_mode:
         raise ValueError("prolongation starts from a plain-mode scheme")
-    changed = base_change_scheme(scheme, operator)
-    restricted = weil_restrict(changed, operator.algebra)
-    ctx = restricted.ctx
-    algebra = operator.algebra
-    substitution = {}
-    for name in scheme.variables:
-        slots = [ctx.var(f"{name}_{j}") for j in range(algebra.rank)]
-        substitution[name] = algebra.element(ctx, slots)
-    return Prolongation(restricted, scheme, algebra, operator, substitution)
+    base = operator.ctx
+    if base.base_gens != scheme.ctx.base_gens or base.field != scheme.ctx.field:
+        raise ValueError("operator is defined over a different base ring")
+    ctx, substitution = generic_point(scheme, operator.algebra)
+    generators = [
+        s
+        for gen in scheme.generators
+        for s in expand_with_operator(gen, operator, substitution, ctx).slots
+    ]
+    restricted = AffineScheme(ctx, generators)
+    return Prolongation(restricted, scheme, operator.algebra, operator, substitution)
 
 
 def _claimed(

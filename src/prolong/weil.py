@@ -6,11 +6,12 @@ and algebra-valued (generators are elements of E(k)[y], stored slotwise as
 :class:`AlgebraElement` values whose slots are polynomials in the scheme
 variables and the base generators).
 
-Weil restriction substitutes y_i = sum_j y_ij e_j into every generator,
-expands through the structure constants, and collects basis components.
-Output variables and generators are ordered input-major, slot-minor, and all
-rank-many components are kept (zeros included) so downstream constructions
-can index components positionally.
+Weil restriction substitutes the generic point y_i = sum_j y_ij e_j
+(:func:`generic_point`) into every generator, expands through the structure
+constants, and collects basis components.  Output variables and generators
+are ordered input-major, slot-minor, and all rank-many components are kept
+(zeros included) so downstream constructions can index components
+positionally.  Prolongations use the same generic point.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Mapping, Sequence
 
 from .algebra import AlgebraElement, AlgebraScheme, evaluate_in_algebra
 from .groebner import first_nonmember
-from .operators import RingOperator
 from .polynomials import MultiPoly, RingContext, poly_to_str, substitute, transport
 
 
@@ -117,26 +117,11 @@ class SchemePoint:
         extra = set(assignment) - set(scheme.variables)
         if extra:
             raise ValueError(f"unknown coordinates {sorted(extra)}")
-        residuals = []
         if scheme.is_algebra_mode:
-            full = dict(values)
-            for g in ctx.base_gens:
-                full[g] = scheme.algebra.scalar(ctx, ctx.var(g))
-            for i, gen in enumerate(scheme.generators):
-                acc = None
-                for j, slot in enumerate(gen.slots):
-                    term = evaluate_in_algebra(slot, full, scheme.algebra, ctx)
-                    ej = [ctx.zero()] * scheme.algebra.rank
-                    ej[j] = ctx.one()
-                    term = term * scheme.algebra.element(ctx, ej)
-                    acc = term if acc is None else acc + term
-                if acc is not None and not acc.is_zero():
-                    residuals.append((i, acc))
+            images = _evaluate_generators(scheme, values, ctx)
         else:
-            for i, gen in enumerate(scheme.generators):
-                value = substitute(gen, values, ctx)
-                if not value.is_zero():
-                    residuals.append((i, value))
+            images = [substitute(gen, values, ctx) for gen in scheme.generators]
+        residuals = [(i, v) for i, v in enumerate(images) if not v.is_zero()]
         if residuals:
             raise PointError(residuals)
         self.scheme = scheme
@@ -184,49 +169,58 @@ def _coerce_value(scheme: AffineScheme, value):
 # -- Weil restriction -----------------------------------------------------------
 
 
-def restriction_context(scheme: AffineScheme, rank: int) -> RingContext:
-    new_vars = [f"{y}_{j}" for y in scheme.variables for j in range(rank)]
-    return RingContext(
-        scheme.ctx.field, base_gens=scheme.ctx.base_gens, scheme_vars=new_vars
-    )
+def generic_point(
+    scheme: AffineScheme, algebra: AlgebraScheme
+) -> tuple[RingContext, dict[str, AlgebraElement]]:
+    """The restriction context and the generic point y -> sum_j y_j e_j.
+
+    The context keeps the base generators and has one variable "<y>_<j>" per
+    scheme variable y and slot j, input-major; a name collision raises.
+    """
+    names = {y: [f"{y}_{j}" for j in range(algebra.rank)] for y in scheme.variables}
+    flat = [n for slots in names.values() for n in slots]
+    field, base = scheme.ctx.field, scheme.ctx.base_gens
+    ctx = RingContext(field, base_gens=base, scheme_vars=flat)
+    return ctx, {
+        y: AlgebraElement(algebra, ctx, tuple(ctx.var(n) for n in slots))
+        for y, slots in names.items()
+    }
+
+
+def _evaluate_generators(
+    scheme: AffineScheme, values: Mapping[str, AlgebraElement], ctx: RingContext
+) -> list[AlgebraElement]:
+    """Every algebra-mode generator at the values: sum_j slot_j(values) e_j,
+    with the base generators sent through the unit."""
+    algebra, rank = scheme.algebra, scheme.algebra.rank
+    full = dict(values)
+    for g in ctx.base_gens:
+        full[g] = algebra.scalar(ctx, ctx.var(g))
+    basis = [
+        algebra.element(ctx, [int(k == j) for k in range(rank)]) for j in range(rank)
+    ]
+    out = []
+    for gen in scheme.generators:
+        total = algebra.element(ctx, [0] * rank)
+        for slot, ej in zip(gen.slots, basis):
+            total = total + evaluate_in_algebra(slot, full, algebra, ctx) * ej
+        out.append(total)
+    return out
 
 
 def weil_restrict(scheme: AffineScheme, algebra: AlgebraScheme) -> AffineScheme:
     """Restriction of scalars along the standard inclusion.
 
-    For each generator, substitute y_i = sum_j y_ij e_j, expand, and emit the
-    rank-many basis components in order.  The variable naming "<y>_<j>" must
-    not collide with existing names; a collision raises.
+    Each generator is evaluated at the generic point and its rank-many basis
+    components are emitted in order.
     """
     if not scheme.is_algebra_mode:
         raise ValueError("mode mismatch: weil_restrict needs an algebra-mode scheme")
     if scheme.algebra != algebra:
         raise ValueError("scheme coefficients live in a different algebra")
-    rank = algebra.rank
-    out_ctx = restriction_context(scheme, rank)
-    hats = {
-        y: AlgebraElement(
-            algebra,
-            out_ctx,
-            tuple(out_ctx.var(f"{y}_{j}") for j in range(rank)),
-        )
-        for y in scheme.variables
-    }
-    for g in scheme.ctx.base_gens:
-        hats[g] = algebra.scalar(out_ctx, out_ctx.var(g))
-    generators = []
-    for gen in scheme.generators:
-        total = None
-        for j, slot in enumerate(gen.slots):
-            value = evaluate_in_algebra(slot, hats, algebra, out_ctx)
-            ej = [out_ctx.zero()] * rank
-            ej[j] = out_ctx.one()
-            value = value * algebra.element(out_ctx, ej)
-            total = value if total is None else total + value
-        if total is None:
-            total = algebra.element(out_ctx, [out_ctx.zero()] * rank)
-        generators.extend(total.slots)
-    return AffineScheme(out_ctx, generators)
+    ctx, point = generic_point(scheme, algebra)
+    values = _evaluate_generators(scheme, point, ctx)
+    return AffineScheme(ctx, [s for value in values for s in value.slots])
 
 
 def point_down(point: SchemePoint, restricted: AffineScheme) -> SchemePoint:
@@ -254,63 +248,6 @@ def point_up(point: SchemePoint, original: AffineScheme) -> SchemePoint:
         )
         assignment[y] = AlgebraElement(original.algebra, original.ctx, slots)
     return SchemePoint(original, assignment)
-
-
-# -- base change ------------------------------------------------------------------
-
-
-def base_change_scheme(
-    scheme: AffineScheme,
-    phi,
-    target_ctx: RingContext | None = None,
-) -> AffineScheme:
-    """Transport every generator's coefficients through a base-ring map.
-
-    ``phi`` is either a :class:`RingOperator` (producing an algebra-mode
-    scheme: coefficients pushed into E(k)) or a mapping base-generator ->
-    polynomial over ``target_ctx`` (producing the same mode, coefficients
-    substituted; used for specialization t -> q).
-    """
-    if isinstance(phi, RingOperator):
-        if scheme.is_algebra_mode:
-            raise ValueError("operator base change starts from a plain scheme")
-        ctx = scheme.ctx
-        if phi.ctx.base_gens != ctx.base_gens or phi.ctx.field != ctx.field:
-            raise ValueError("operator is defined over a different base ring")
-        images = {x: phi.algebra.scalar(ctx, ctx.var(x)) for x in scheme.variables}
-        for g in ctx.base_gens:
-            images[g] = phi.image_in(ctx, g)
-        generators = [
-            evaluate_in_algebra(gen, images, phi.algebra, ctx)
-            for gen in scheme.generators
-        ]
-        return AffineScheme(ctx, generators, algebra=phi.algebra)
-
-    images = dict(phi)
-    if target_ctx is None:
-        target_ctx = next(
-            (v.ctx for v in images.values() if isinstance(v, MultiPoly)),
-            scheme.ctx,
-        )
-    unknown = set(images) - set(scheme.ctx.base_gens)
-    if unknown:
-        raise ValueError(f"base change may only move base generators: {sorted(unknown)}")
-    images = {
-        g: v if isinstance(v, MultiPoly) else target_ctx.const(v)
-        for g, v in images.items()
-    }
-    if scheme.is_algebra_mode:
-        generators = [
-            AlgebraElement(
-                scheme.algebra,
-                target_ctx,
-                tuple(substitute(s, images, target_ctx) for s in gen.slots),
-            )
-            for gen in scheme.generators
-        ]
-        return AffineScheme(target_ctx, generators, algebra=scheme.algebra)
-    generators = [substitute(gen, images, target_ctx) for gen in scheme.generators]
-    return AffineScheme(target_ctx, generators)
 
 
 # -- morphisms --------------------------------------------------------------------

@@ -9,6 +9,7 @@ code with the package.
 from fractions import Fraction
 from math import factorial, lcm
 
+from prolong.algebra import AlgebraElement
 from prolong.polynomials import (
     MONOMIAL_ONE,
     Monomial,
@@ -18,8 +19,11 @@ from prolong.polynomials import (
     grevlex_key,
     grlex_key,
     hasse_derivative,
+    substitute,
+    transport,
 )
 from prolong.scalars import QQ
+from prolong.weil import AffineScheme, weil_restrict
 
 # the package's monomial order keys by name; the engine itself uses grevlex
 MONOMIAL_ORDERS = {"grlex": grlex_key, "grevlex": grevlex_key}
@@ -575,11 +579,44 @@ def swap_renaming(scheme, e, f) -> dict:
 def specialize_base(scheme, values):
     """Specialize named base generators to constants, dropping them from the
     context; remaining base generators survive."""
-    from prolong.polynomials import RingContext
-    from prolong.weil import base_change_scheme
-
     ctx = scheme.ctx
+    unknown = set(values) - set(ctx.base_gens)
+    if unknown:
+        raise ValueError(f"only base generators specialize: {sorted(unknown)}")
     remaining = tuple(g for g in ctx.base_gens if g not in values)
     target = RingContext(ctx.field, base_gens=remaining, scheme_vars=ctx.scheme_vars)
     images = {g: target.const(v) for g, v in values.items()}
-    return base_change_scheme(scheme, images, target)
+    if not scheme.is_algebra_mode:
+        generators = [substitute(gen, images, target) for gen in scheme.generators]
+        return AffineScheme(target, generators)
+    generators = [
+        AlgebraElement(
+            scheme.algebra,
+            target,
+            tuple(substitute(s, images, target) for s in gen.slots),
+        )
+        for gen in scheme.generators
+    ]
+    return AffineScheme(target, generators, algebra=scheme.algebra)
+
+
+def base_change_along(scheme, operator):
+    """The plain scheme with its coefficients pushed into E(k) by the
+    operator: an algebra-coefficient scheme in the same variables."""
+    ctx, algebra = scheme.ctx, operator.algebra
+    images = {x: algebra.scalar(ctx, ctx.var(x)) for x in scheme.variables}
+    for g, value in operator.images.items():
+        slots = tuple(transport(s, ctx) for s in value.slots)
+        images[g] = AlgebraElement(algebra, ctx, slots)
+    generators = [
+        reference_evaluate_in_algebra(gen, images, algebra, ctx)
+        for gen in scheme.generators
+    ]
+    return AffineScheme(ctx, generators, algebra=algebra)
+
+
+def reference_prolong(scheme, operator):
+    """The prolongation in two steps, as the definition reads: base change
+    along the operator (by the reference evaluator), then the package's Weil
+    restriction back to the base."""
+    return weil_restrict(base_change_along(scheme, operator), operator.algebra)

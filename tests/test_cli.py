@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import prolong
 import prolong.cli
 import prolong.interpolation as interpolation
+import prolong.laws as laws
 import prolong.prolongations as prolongations
 from prolong.algebra import ALGEBRA_RANK_BUDGET
 from prolong.cli import main
@@ -329,14 +330,17 @@ def _edited_fixture(tmp_path, name, **fields):
 
 
 def _shift_slot_zero(monkeypatch):
-    """Corrupt prolong_morphism: every expanded coordinate gains 1 in slot 0."""
-    real = prolongations.expand_with_operator
+    """Corrupt prolong_morphism: every slot-zero coordinate gains 1."""
+    real = laws.prolong_morphism
 
-    def shifted(poly, *args):
-        out = real(poly, *args)
-        return out + out.algebra.unit(out.ctx)
+    def shifted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        for name, poly in out.assignment.items():
+            if name.endswith("_0"):
+                out.assignment[name] = poly + 1
+        return out
 
-    monkeypatch.setattr(prolongations, "expand_with_operator", shifted)
+    monkeypatch.setattr(laws, "prolong_morphism", shifted)
 
 
 def _swap_composition(monkeypatch):

@@ -434,3 +434,31 @@ def test_only_groebner_py_reaches_the_engine_internals():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
                 assert not names & banned, f"{path.name} imports {names & banned}"
+
+
+def _names_used(tree) -> set:
+    """Every name a module defines, imports or refers to."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_prolong_is_built_without_a_base_change_scheme():
+    # prolong expands each generator through the operator in one step, so no
+    # algebra-coefficient scheme is built on the way; Weil restriction serves
+    # only the weil command (the package's __init__ re-exports it)
+    users = set()
+    for path in sorted(Path(prolong.__file__).parent.glob("*.py")):
+        names = _names_used(ast.parse(path.read_text()))
+        assert "base_change_scheme" not in names, path.name
+        if "weil_restrict" in names and path.name != "__init__.py":
+            users.add(path.name)
+    assert users == {"weil.py", "cli.py"}

@@ -1,18 +1,26 @@
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prolong.algebra import (
+    dring_algebra,
     dual_numbers,
     product_algebra,
     trivial_algebra,
     truncated_algebra,
 )
-from helpers import solve_linear, swap_renaming
+from helpers import reference_prolong, solve_linear, swap_renaming
+from prolong.fixtures import load_fixtures
 from prolong.groebner import ExactMatrix, ideal_equal, rank
-from prolong.operators import RingOperator, standard_operator
+from prolong.jets import jet_scheme
+from prolong.operators import RingOperator, compose_operators, standard_operator
 from prolong.polynomials import (
     Monomial,
+    MultiPoly,
     RingContext,
     hasse_derivative,
     parse_poly,
@@ -28,13 +36,12 @@ from prolong.prolongations import (
     prolong_morphism,
     validate_algebra_map,
 )
-from prolong.scalars import QQ
+from prolong.scalars import GF, QQ
 from prolong.weil import (
     AffineScheme,
     PointError,
     PolyMorphism,
     SchemePoint,
-    base_change_scheme,
 )
 
 DUAL = dual_numbers()
@@ -98,14 +105,103 @@ def test_prolong_trivial_algebra_is_renaming():
 
 def test_prolong_input_guards():
     x2t = scheme_over_t(("x",), ["x^2 - t"])
-    changed = base_change_scheme(x2t, dual_ddt())
-    with pytest.raises(ValueError):
+    slots = [x2t.generators[0], x2t.ctx.const(-1)]
+    changed = AffineScheme(x2t.ctx, [DUAL.element(x2t.ctx, slots)], algebra=DUAL)
+    with pytest.raises(ValueError, match="plain-mode scheme"):
         prolong(changed, dual_ddt())
 
     other = RingContext(QQ, base_gens=("s",))
     bad = RingOperator(DUAL, other, {"s": DUAL.element(other, [other.var("s"), 1])})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different base ring"):
         prolong(x2t, bad)
+
+
+# -- the one-step expansion against base change then Weil restriction ----------
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ALGEBRAS = [
+    truncated_algebra(1, 1),
+    truncated_algebra(1, 2),
+    product_algebra(2),
+    product_algebra(3),
+    dring_algebra(1),
+    dring_algebra(Fraction(-3, 2)),
+]
+
+
+@st.composite
+def coefficient_polys(draw, ctx, max_terms=3):
+    """A random polynomial of degree at most 2 with nonzero coefficients."""
+    monos = [
+        Monomial(((i, 1), (j, 1)) if i != j else ((i, 2),))
+        for i in range(ctx.nvars)
+        for j in range(i, ctx.nvars)
+    ] + [Monomial(((i, 1),)) for i in range(ctx.nvars)] + [Monomial()]
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=max_terms, unique=True))
+    coeff = st.integers(-4, 4).filter(bool)
+    if ctx.field.is_rational:
+        coeff = st.builds(Fraction, coeff, st.integers(1, 3))
+    return MultiPoly(ctx, {m: ctx.field.coerce(draw(coeff)) for m in chosen})
+
+
+@st.composite
+def operators(draw, base):
+    """An operator over the base: the derivation t -> (t, 1), or one of the
+    algebras above with random images of the base generators."""
+    if base.base_gens and draw(st.booleans()):
+        return RingOperator(
+            DUAL, base, {"t": DUAL.element(base, [base.var("t"), base.one()])}
+        )
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    images = {
+        g: algebra.element(
+            base, [draw(coefficient_polys(base)) for _ in range(algebra.rank)]
+        )
+        for g in base.base_gens
+    }
+    return RingOperator(algebra, base, images)
+
+
+def assert_matches_reference(scheme, operator):
+    result = prolong(scheme, operator)
+    reference = reference_prolong(scheme, operator)
+    assert result.ctx == reference.ctx
+    assert result.scheme.generators == reference.generators
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([QQ, GF(7)]),
+    st.sampled_from([(), ("t",)]),
+    st.integers(1, 3),
+)
+def test_prolong_matches_reference_on_random_schemes(data, field, base_gens, nvars):
+    base = RingContext(field, base_gens=base_gens)
+    ctx = RingContext(field, base_gens=base_gens, scheme_vars=("x", "y", "z")[:nvars])
+    gens = data.draw(st.lists(coefficient_polys(ctx), min_size=1, max_size=3))
+    operator = data.draw(operators(base))
+    if data.draw(st.booleans()):
+        _, operator = compose_operators(operator, data.draw(operators(base)))
+    assert_matches_reference(AffineScheme(ctx, gens), operator)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_prolong_matches_reference_on_fixtures_and_jets(order):
+    checked = 0
+    for fx in load_fixtures(FIXTURES):
+        if fx.scheme.is_algebra_mode or fx.operator is None:
+            continue
+        scheme = fx.scheme if order == 0 else jet_scheme(fx.scheme, order).scheme
+        ops = [fx.operator]
+        if fx.second_operator is not None:
+            ops.append(fx.second_operator)
+            ops.append(compose_operators(fx.operator, fx.second_operator)[1])
+        for operator in ops:
+            assert_matches_reference(scheme, operator)
+            checked += 1
+    assert checked >= 10
 
 
 def test_tangent_space_of_smooth_hypersurfaces():

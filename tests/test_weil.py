@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import specialize_base
+from helpers import base_change_along, specialize_base
 from prolong.scalars import QQ
 from prolong.polynomials import (
     RingContext,
@@ -24,7 +24,6 @@ from prolong.weil import (
     PointError,
     PolyMorphism,
     SchemePoint,
-    base_change_scheme,
     point_down,
     point_up,
     weil_restrict,
@@ -228,7 +227,7 @@ def test_base_change_operator():
     base = RingContext(QQ, base_gens=("t",))
     dual = dual_numbers()
     e = RingOperator(dual, base, {"t": dual.element(base, [base.var("t"), base.one()])})
-    changed = base_change_scheme(scheme, e)
+    changed = base_change_along(scheme, e)
     assert changed.is_algebra_mode
     (gen,) = changed.generators
     assert gen.slots == (parse_poly("x^2 - t", ctx), parse_poly("-1", ctx))
@@ -240,7 +239,7 @@ def test_base_change_specialize_commutes_with_restriction():
     base = RingContext(QQ, base_gens=("t",))
     dual = dual_numbers()
     e = RingOperator(dual, base, {"t": dual.element(base, [base.var("t"), base.one()])})
-    changed = base_change_scheme(scheme, e)
+    changed = base_change_along(scheme, e)
     # restrict first, specialize after
     restricted = weil_restrict(changed, dual)
     after = specialize_base(restricted, {"t": 3})
@@ -256,12 +255,12 @@ def test_base_change_specialize_commutes_with_restriction():
 
 def test_base_change_identity_and_errors():
     scheme = circle_scheme()
-    same = base_change_scheme(scheme, {})
+    same = specialize_base(scheme, {})
     assert [poly_to_str(g) for g in same.generators] == [
         poly_to_str(g) for g in scheme.generators
     ]
     with pytest.raises(ValueError, match="base generators"):
-        base_change_scheme(scheme, {"x": scheme.ctx.one()})
+        specialize_base(scheme, {"x": 1})
 
 
 def test_morphism_validation_and_points():
