@@ -44,7 +44,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraScheme,
     AlgebraValidationError,
-    custom_algebra,
     dring_algebra,
     dual_numbers,
     make_builtin,
@@ -68,8 +67,6 @@ from .weil import (
     PointError,
     PolyMorphism,
     SchemePoint,
-    point_down,
-    point_up,
     weil_restrict,
 )
 from .prolongations import (
@@ -130,7 +127,6 @@ __all__ = [
     "check_surjectivity",
     "compare_map",
     "compose_operators",
-    "custom_algebra",
     "dring_algebra",
     "dual_numbers",
     "fiber_matrices_at",
@@ -149,8 +145,6 @@ __all__ = [
     "nabla",
     "normal_form",
     "parse_poly",
-    "point_down",
-    "point_up",
     "poly_to_str",
     "product_algebra",
     "prolong",

@@ -243,14 +243,6 @@ class AlgebraElement:
             self.algebra, self.ctx, tuple(s.scale(poly) for s in self.slots)
         )
 
-    def __pow__(self, n: int) -> "AlgebraElement":
-        if n < 0:
-            raise ValueError("negative power of an algebra element")
-        out = self.algebra.unit(self.ctx)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.slots)
 
@@ -401,10 +393,6 @@ def dring_algebra(c) -> AlgebraScheme:
     return AlgebraScheme(("1", "d"), table, name=f"dring({c})")
 
 
-def custom_algebra(labels, table, name: str = "custom") -> AlgebraScheme:
-    return AlgebraScheme(labels, table, name=name)
-
-
 def make_builtin(spec) -> AlgebraScheme:
     """Algebra from a JSON-shaped spec dict (see fixture schema)."""
     if isinstance(spec, AlgebraScheme):
@@ -424,7 +412,7 @@ def make_builtin(spec) -> AlgebraScheme:
         raise ValueError(f"unknown builtin algebra {kind!r}")
     if "basis" in spec and "mult" in spec:
         _within_budget(len(spec["basis"]))
-        return custom_algebra(spec["basis"], spec["mult"], name=spec.get("name", "custom"))
+        return AlgebraScheme(spec["basis"], spec["mult"], name=spec.get("name", "custom"))
     raise ValueError("algebra spec needs either 'builtin' or 'basis'+'mult'")
 
 
@@ -474,20 +462,3 @@ def tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
     return AlgebraScheme(
         _tensor_labels(e, f), table, name=f"tensor({e.name},{f.name})"
     )
-
-
-def basis_power_expansion(e: AlgebraScheme, gamma: Sequence[int]) -> tuple[Fraction, ...]:
-    """Coefficients of prod_j e_j^(gamma_j) in the basis."""
-    if len(gamma) != e.rank:
-        raise ValueError("exponent vector length does not match rank")
-    vec = [Fraction(1)] + [Fraction(0)] * (e.rank - 1)
-    for j, g in enumerate(gamma):
-        if g < 0:
-            raise ValueError("negative exponent")
-        if g == 0:
-            continue
-        basis_vec = [Fraction(0)] * e.rank
-        basis_vec[j] = Fraction(1)
-        for _ in range(g):
-            vec = e.multiply_vectors(vec, basis_vec)
-    return tuple(vec)

@@ -37,7 +37,13 @@ from .prolongations import (
     prolong_composed,
     validate_algebra_map,
 )
-from .weil import AffineScheme, PointError, render_value, weil_restrict
+from .weil import (
+    AffineScheme,
+    NotScalarPointError,
+    PointError,
+    render_value,
+    weil_restrict,
+)
 
 
 class UsageError(ValueError):
@@ -552,7 +558,13 @@ def main(argv=None) -> int:
             fmt,
         )
         return 3
-    except (UsageError, FixtureError, AlgebraValidationError, OSError) as err:
+    except (
+        UsageError,
+        FixtureError,
+        AlgebraValidationError,
+        NotScalarPointError,
+        OSError,
+    ) as err:
         _emit({"status": "error", "error": str(err)}, [f"error: {err}"], fmt)
         return 2
     _emit(payload, lines, fmt)

@@ -1,20 +1,19 @@
 """Interpolating jets of a Weil restriction into the restriction of the jet
 scheme.
 
-The coordinate map sends each restricted jet coordinate to a combination of
-jet coordinates of the restriction, with scalar coefficients read off from
-expanding powers of the generic algebra element.  At a scalar point the map
-becomes an exact linear map between jet fibers; surjectivity of that map is
-checked by rank arithmetic, gated on an exact Jacobian smoothness test.
+The coordinate map is read off the prolongation's generic point
+x_i -> sum_j x_i_j e_j: the restricted jet coordinate z_<beta>_<j> goes to
+slot j of x^beta evaluated there, with each term c*y^gamma of that slot
+becoming c*z_gamma, a jet coordinate of the restriction.  At a scalar point
+the map becomes an exact linear map between jet fibers; surjectivity of that
+map is checked by rank arithmetic, gated on an exact Jacobian smoothness test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
-from .algebra import AlgebraScheme, basis_power_expansion
+from .algebra import evaluate_in_algebra
 from .groebner import ExactMatrix, apply_matrix, rank
 from .jets import (
     JetScheme,
@@ -26,54 +25,9 @@ from .jets import (
     z_name,
 )
 from .operators import RingOperator
-from .polynomials import Monomial, compositions, hasse_derivative, substitute
+from .polynomials import Monomial, MultiPoly, hasse_derivative, substitute
 from .prolongations import Prolongation, nabla, prolong
-from .weil import AffineScheme, PolyMorphism, SchemePoint
-
-
-def multinomial(total: int, parts) -> int:
-    """total! / prod(parts!), for parts summing to total."""
-    acc = 0
-    out = 1
-    for p in parts:
-        acc += p
-        out *= comb(acc, p)
-    if acc != total:
-        raise ValueError("parts do not sum to the total")
-    return out
-
-
-def gamma_indices(beta, rank: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Per-variable blocks of slot exponents: one block per entry of beta,
-    each block a composition of that entry over ``rank`` slots."""
-    out: list[tuple[tuple[int, ...], ...]] = [()]
-    for part in beta:
-        pool = compositions(part, rank)
-        out = [blocks + (blk,) for blocks in out for blk in pool]
-    return out
-
-
-def interpolation_coefficients(
-    algebra: AlgebraScheme, beta
-) -> list[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
-    """Slot coefficients of each jet monomial contributing to beta.
-
-    Expanding prod_i (sum_j y_{i,j} e_j)^(beta_i) and collecting the basis
-    components, the monomial with block exponents gamma carries the weight
-    prod_i multinomial(beta_i; gamma_i) times the expansion of e^(sum gamma_i).
-    Returns (flattened gamma, per-slot coefficients) pairs; flattening is
-    block-major, matching the variable order of the restricted scheme.
-    """
-    out = []
-    for blocks in gamma_indices(beta, algebra.rank):
-        weight = 1
-        for part, blk in zip(beta, blocks):
-            weight *= multinomial(part, blk)
-        total = tuple(sum(col) for col in zip(*blocks))
-        vec = basis_power_expansion(algebra, total)
-        flat = tuple(x for blk in blocks for x in blk)
-        out.append((flat, tuple(Fraction(weight) * v for v in vec)))
-    return out
+from .weil import AffineScheme, NotScalarPointError, PolyMorphism, SchemePoint
 
 
 @dataclass(frozen=True)
@@ -117,24 +71,22 @@ def interpolation_map(
     elif jet.source is not scheme or jet.order != order:
         raise ValueError("jet scheme was built from different data")
     target = prolong(jet.scheme, operator)
-    algebra = operator.algebra
-    sctx = source.ctx
-    field = sctx.field
-    assignment = {}
-    for name in scheme.ctx.scheme_vars:
-        for j in range(algebra.rank):
-            restricted = f"{name}_{j}"
-            assignment[restricted] = sctx.var(restricted)
+    sctx, restricted = source.ctx, pro.ctx.scheme_vars
+
+    def z(m: Monomial) -> Monomial:
+        """The jet coordinate z_gamma of the restricted monomial y^gamma."""
+        gamma = tuple(m.get(i) for i in range(len(restricted)))
+        return Monomial(((sctx.var_index(z_name(gamma)), 1),))
+
+    assignment = {n: sctx.var(n) for n in restricted}
+    one = scheme.ctx.field.one
     for beta in jet.indices:
-        coeffs = interpolation_coefficients(algebra, beta)
-        for j in range(algebra.rank):
-            acc = sctx.const(0)
-            for flat, vec in coeffs:
-                c = vec[j]
-                if c == 0:
-                    continue
-                acc = acc + sctx.var(z_name(flat)).scale(field.from_fraction(c))
-            assignment[f"{z_name(beta)}_{j}"] = acc
+        # x^beta at the generic point; slot j's term c*y^gamma gives c*z_gamma
+        power = MultiPoly(scheme.ctx, {Monomial(enumerate(beta)): one})
+        value = evaluate_in_algebra(power, pro.substitution, pro.algebra, pro.ctx)
+        for j, slot in enumerate(value.slots):
+            terms = {z(m): c for m, c in slot.coeffs.items()}
+            assignment[f"{z_name(beta)}_{j}"] = MultiPoly(sctx, terms)
     morphism = PolyMorphism(source.scheme, target.scheme, assignment)
     return InterpolationMap(
         morphism=morphism,
@@ -210,7 +162,8 @@ def fiber_matrices_at(
 
 
 def jacobian_rank(scheme: AffineScheme, point) -> int:
-    """Rank of the Jacobian of the generators at a scalar point."""
+    """Rank of the Jacobian of the generators at a scalar point.  Raises
+    :class:`NotScalarPointError` on an entry that depends on the base ring."""
     if not isinstance(point, SchemePoint):
         point = SchemePoint(scheme, point)
     ctx = scheme.ctx
@@ -222,7 +175,7 @@ def jacobian_rank(scheme: AffineScheme, point) -> int:
             part = hasse_derivative(gen, Monomial(((ctx.var_index(name), 1),)))
             entry = substitute(part, values, ctx)
             if not entry.is_constant():
-                raise ValueError(
+                raise NotScalarPointError(
                     "Jacobian entries must be scalars; specialize the base first"
                 )
             row.append(entry.constant_value())

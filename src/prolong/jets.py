@@ -111,7 +111,8 @@ def linear_system(polys, values, ctx: RingContext, columns) -> ExactMatrix:
     """Rows of scalar coefficients after substituting ``values``.
 
     Every substituted polynomial must be a field combination of the column
-    variables; leftover base generators or nonlinear terms are rejected.
+    variables; a leftover base generator or nonlinear term raises
+    :class:`NotScalarPointError`.
     """
     field = ctx.field
     index = {ctx.var_index(name): k for k, name in enumerate(columns)}
@@ -123,7 +124,7 @@ def linear_system(polys, values, ctx: RingContext, columns) -> ExactMatrix:
             exps = m.exps
             if len(exps) != 1 or exps[0][1] != 1 or exps[0][0] not in index:
                 # leftover base generators surface here as mixed monomials
-                raise ValueError(
+                raise NotScalarPointError(
                     "fiber entries must be scalars times one fiber coordinate; "
                     f"got the term {MultiPoly(ctx, {m: c})} (specialize the "
                     "base first)"

@@ -222,11 +222,6 @@ class RingContext:
         i = self.var_index(name)
         return MultiPoly(self, {Monomial(((i, 1),)): self.field.one})
 
-    def monomial(self, exps: Mapping[str, int], coeff=1) -> "MultiPoly":
-        m = Monomial((self.var_index(n), e) for n, e in exps.items())
-        c = self.field.coerce(coeff)
-        return MultiPoly(self, {m: c} if not self.field.is_zero(c) else {})
-
 
 class MultiPoly:
     """Polynomial as a sparse monomial-to-coefficient map.
@@ -268,9 +263,6 @@ class MultiPoly:
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1."""
         return max((m.deg for m in self.coeffs), default=-1)
-
-    def coefficient(self, m: Monomial):
-        return self.coeffs.get(m, self.ctx.field.zero)
 
     def variables(self) -> set[int]:
         return {i for m in self.coeffs for i in m.indices()}

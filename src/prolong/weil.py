@@ -35,8 +35,9 @@ class PointError(ValueError):
 
 
 class NotScalarPointError(ValueError):
-    """A point coordinate that still depends on the base ring where a scalar
-    fiber needs a constant; specialize the base first."""
+    """A point coordinate, or a fiber or Jacobian entry at a point, that still
+    depends on the base ring where a scalar is needed; specialize the base
+    first."""
 
 
 def render_value(value) -> str:
@@ -221,33 +222,6 @@ def weil_restrict(scheme: AffineScheme, algebra: AlgebraScheme) -> AffineScheme:
     ctx, point = generic_point(scheme, algebra)
     values = _evaluate_generators(scheme, point, ctx)
     return AffineScheme(ctx, [s for value in values for s in value.slots])
-
-
-def point_down(point: SchemePoint, restricted: AffineScheme) -> SchemePoint:
-    """Slot read-off carrying an algebra-valued point to the restriction."""
-    scheme = point.scheme
-    if not scheme.is_algebra_mode:
-        raise ValueError("point_down starts from an algebra-mode point")
-    assignment = {}
-    for y in scheme.variables:
-        for j, slot in enumerate(point.assignment[y].slots):
-            assignment[f"{y}_{j}"] = transport(slot, restricted.ctx)
-    return SchemePoint(restricted, assignment)
-
-
-def point_up(point: SchemePoint, original: AffineScheme) -> SchemePoint:
-    """Reassemble sum_j y_ij e_j; inverse of :func:`point_down`."""
-    if not original.is_algebra_mode:
-        raise ValueError("point_up lands on an algebra-mode scheme")
-    rank = original.algebra.rank
-    assignment = {}
-    for y in original.variables:
-        slots = tuple(
-            transport(point.assignment[f"{y}_{j}"], original.ctx)
-            for j in range(rank)
-        )
-        assignment[y] = AlgebraElement(original.algebra, original.ctx, slots)
-    return SchemePoint(original, assignment)
 
 
 # -- morphisms --------------------------------------------------------------------

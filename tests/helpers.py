@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from prolong.algebra import AlgebraElement
+from prolong.jets import z_name
 from prolong.polynomials import (
     MONOMIAL_ONE,
     Monomial,
@@ -23,7 +24,7 @@ from prolong.polynomials import (
     transport,
 )
 from prolong.scalars import QQ
-from prolong.weil import AffineScheme, weil_restrict
+from prolong.weil import AffineScheme, SchemePoint, weil_restrict
 
 # the package's monomial order keys by name; the engine itself uses grevlex
 MONOMIAL_ORDERS = {"grlex": grlex_key, "grevlex": grevlex_key}
@@ -201,7 +202,6 @@ def local_quotient_dimension(scheme, point, order: int) -> int:
         substitute,
         transport,
     )
-    from prolong.weil import SchemePoint
 
     ctx = scheme.ctx
     if ctx.base_gens:
@@ -212,7 +212,7 @@ def local_quotient_dimension(scheme, point, order: int) -> int:
     shift = {n: ctx.var(n) + transport(point.assignment[n], ctx) for n in names}
     gens = [substitute(p, shift, ctx) for p in scheme.generators]
     for exp in compositions(order + 1, len(names)):
-        gens.append(ctx.monomial({n: e for n, e in zip(names, exp) if e}))
+        gens.append(MultiPoly(ctx, {Monomial(enumerate(exp)): ctx.field.one}))
     basis = groebner(gens)
     leading = [g.leading_monomial(grevlex_key) for g in basis.gens]
     standard = 0
@@ -457,6 +457,83 @@ def reference_evaluate_in_algebra(poly, assignment, algebra, ctx):
     return total
 
 
+def multinomial(total: int, parts) -> int:
+    """total! / prod(parts!), for parts summing to total."""
+    if sum(parts) != total:
+        raise ValueError("parts do not sum to the total")
+    out = factorial(total)
+    for p in parts:
+        out //= factorial(p)
+    return out
+
+
+def gamma_indices(beta, rank: int) -> list:
+    """Per-variable blocks of slot exponents: one block per entry of beta,
+    each block a composition of that entry over ``rank`` slots."""
+    out = [()]
+    for part in beta:
+        pool = reference_compositions(part, rank)
+        out = [blocks + (blk,) for blocks in out for blk in pool]
+    return out
+
+
+def reference_basis_power_expansion(algebra, gamma) -> tuple:
+    """Coefficients of prod_j e_j^(gamma_j) in the basis, one dense table
+    product per factor."""
+    rank = algebra.rank
+    if len(gamma) != rank:
+        raise ValueError("exponent vector length does not match rank")
+    if any(g < 0 for g in gamma):
+        raise ValueError("negative exponent")
+    vec = [Fraction(1)] + [Fraction(0)] * (rank - 1)
+    for j, g in enumerate(gamma):
+        for _ in range(g):
+            vec = [
+                sum(vec[i] * algebra.table[i][j][k] for i in range(rank))
+                for k in range(rank)
+            ]
+    return tuple(vec)
+
+
+def reference_interpolation_coefficients(algebra, beta) -> list:
+    """Slot coefficients of each jet monomial contributing to beta.
+
+    Expanding prod_i (sum_j y_{i,j} e_j)^(beta_i) and collecting the basis
+    components, the monomial with block exponents gamma carries the weight
+    prod_i multinomial(beta_i; gamma_i) times the expansion of e^(sum gamma_i).
+    Returns (flattened gamma, per-slot coefficients) pairs; flattening is
+    block-major, matching the variable order of the restricted scheme.
+    """
+    out = []
+    for blocks in gamma_indices(beta, algebra.rank):
+        weight = 1
+        for part, blk in zip(beta, blocks):
+            weight *= multinomial(part, blk)
+        total = tuple(sum(col) for col in zip(*blocks))
+        vec = reference_basis_power_expansion(algebra, total)
+        flat = tuple(x for blk in blocks for x in blk)
+        out.append((flat, tuple(weight * v for v in vec)))
+    return out
+
+
+def reference_interpolation_assignment(imap) -> dict:
+    """The interpolation map's assignment rebuilt from the reference
+    coefficients: restricted coordinates fixed, and z_<beta>_<j> the sum of
+    c * z_<gamma> over the coefficients c in slot j."""
+    ctx = imap.source.ctx
+    field = ctx.field
+    assignment = {n: ctx.var(n) for n in imap.prolongation.ctx.scheme_vars}
+    for beta in imap.jet.indices:
+        coeffs = reference_interpolation_coefficients(imap.operator.algebra, beta)
+        for j in range(imap.operator.algebra.rank):
+            acc = ctx.zero()
+            for flat, vec in coeffs:
+                if vec[j]:
+                    acc = acc + ctx.var(z_name(flat)).scale(field.from_fraction(vec[j]))
+            assignment[f"{z_name(beta)}_{j}"] = acc
+    return assignment
+
+
 # -- test-only utilities over the package's own types ---------------------------
 
 
@@ -598,6 +675,33 @@ def specialize_base(scheme, values):
         for gen in scheme.generators
     ]
     return AffineScheme(target, generators, algebra=scheme.algebra)
+
+
+def point_down(point, restricted):
+    """Slot read-off carrying an algebra-valued point to the restriction."""
+    scheme = point.scheme
+    if not scheme.is_algebra_mode:
+        raise ValueError("point_down starts from an algebra-mode point")
+    assignment = {}
+    for y in scheme.variables:
+        for j, slot in enumerate(point.assignment[y].slots):
+            assignment[f"{y}_{j}"] = transport(slot, restricted.ctx)
+    return SchemePoint(restricted, assignment)
+
+
+def point_up(point, original):
+    """Reassemble sum_j y_ij e_j; inverse of :func:`point_down`."""
+    if not original.is_algebra_mode:
+        raise ValueError("point_up lands on an algebra-mode scheme")
+    rank = original.algebra.rank
+    assignment = {}
+    for y in original.variables:
+        slots = tuple(
+            transport(point.assignment[f"{y}_{j}"], original.ctx)
+            for j in range(rank)
+        )
+        assignment[y] = AlgebraElement(original.algebra, original.ctx, slots)
+    return SchemePoint(original, assignment)
 
 
 def base_change_along(scheme, operator):

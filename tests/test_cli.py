@@ -548,6 +548,46 @@ def test_singular_points_are_skipped_not_failed(capsys, tmp_path):
     assert entry["skipped_points"] == 2
 
 
+
+@pytest.mark.parametrize(
+    "ideal, skipped, jet_order", [("t*x - y", 2, 1), ("t*x^2 - y", 1, 2)]
+)
+def test_a_fiber_over_base_parameter_coefficients_is_skipped(
+    capsys, tmp_path, ideal, skipped, jet_order
+):
+    # the point is scalar, but the Jacobian (t*x - y) or the order-2 jet
+    # fiber (t*x^2 - y) still depends on t
+    fixture = tmp_path / "param.json"
+    fixture.write_text(
+        json.dumps(
+            {
+                "name": "param",
+                "base": ["t"],
+                "vars": ["x", "y"],
+                "ideal": [ideal],
+                "dim": 1,
+                "algebra": {"builtin": "truncated", "vars": 1, "order": 1},
+                "operator": {"images": {"t": ["t", "1"]}},
+                "points": [{"x": "0", "y": "0"}],
+            }
+        )
+    )
+    code, payload = run_json(capsys, "check", "--input", fixture, "--trials", 2)
+    assert code == 0
+    (surjectivity,) = [s for s in payload["suites"] if s["suite"] == "surjectivity"]
+    assert surjectivity["fixtures"][0]["skipped_points"] == skipped
+    point = write_point(tmp_path, {"x": "0", "y": "0"})
+    at = ("--order", jet_order, "--input", fixture, "--at", point)
+    for command in ("jet", "interpolate"):
+        code, payload = run_json(capsys, command, *at)
+        assert code == 2
+        assert payload["status"] == "error"
+        assert "specialize the base first" in payload["error"]
+    done = run_cli_process("interpolate", *at, "--check-surjectivity", "--dim", 1)
+    assert done.returncode == 2
+    assert done.stdout.startswith("error: ") and "specialize the base" in done.stdout
+    assert "Traceback" not in done.stderr
+
 def test_resource_cap_maps_to_inconclusive(capsys, monkeypatch):
     import prolong.laws as laws
 

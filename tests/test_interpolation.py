@@ -1,13 +1,23 @@
 """Interpolating jets of a restriction into the restriction of jets."""
 
+import ast
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    gamma_indices,
+    multinomial,
+    reference_interpolation_assignment,
+    reference_interpolation_coefficients,
+)
 from prolong.algebra import (
-    custom_algebra,
+    AlgebraScheme,
+    dring_algebra,
     dual_numbers,
     product_algebra,
     tensor,
@@ -21,11 +31,8 @@ from prolong.groebner import apply_matrix, groebner, ideal_member, rank
 from prolong.interpolation import (
     check_surjectivity,
     fiber_matrices_at,
-    gamma_indices,
-    interpolation_coefficients,
     interpolation_map,
     jacobian_rank,
-    multinomial,
 )
 from prolong.jets import jet_morphism, jet_scheme
 from prolong.operators import RingOperator, compose_operators, standard_operator
@@ -42,7 +49,7 @@ from prolong.prolongations import (
     prolong_composed,
     prolong_morphism,
 )
-from prolong.scalars import QQ
+from prolong.scalars import GF, QQ
 from prolong.weil import AffineScheme, NotScalarPointError, PointError, PolyMorphism
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -86,7 +93,7 @@ def test_gamma_indices_enumeration():
 
 
 def test_coefficients_for_a_dual_square():
-    rows = dict(interpolation_coefficients(dual_numbers(), (2,)))
+    rows = dict(reference_interpolation_coefficients(dual_numbers(), (2,)))
     assert rows[(2, 0)] == (Fraction(1), Fraction(0))
     # the mixed monomial y_0*y_1 appears twice when squaring y_0 + y_1*h
     assert rows[(1, 1)] == (Fraction(0), Fraction(2))
@@ -132,7 +139,7 @@ def test_unit_slot_laws_for_truncated_algebras():
                     x for b in beta for x in (b,) + (0,) * (algebra.rank - 1)
                 )
                 seen = set()
-                for flat, vec in interpolation_coefficients(algebra, beta):
+                for flat, vec in reference_interpolation_coefficients(algebra, beta):
                     seen.add(flat)
                     if flat == hat:
                         assert vec[0] == 1
@@ -144,14 +151,14 @@ def test_unit_slot_laws_for_truncated_algebras():
 
 def test_unit_slot_law_fails_without_nilpotents():
     # in Q[h]/(h^2 - 1) the exponent (0, 2) folds back onto the unit
-    loop = custom_algebra(
+    loop = AlgebraScheme(
         ("1", "h"),
         (
             ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
             ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
         ),
     )
-    rows = dict(interpolation_coefficients(loop, (2,)))
+    rows = dict(reference_interpolation_coefficients(loop, (2,)))
     assert rows[(0, 2)][0] == 1
 
 
@@ -183,7 +190,7 @@ def test_coefficients_match_direct_expansion():
                     power = power * hats[i]
             for j in range(algebra.rank):
                 expected = {}
-                for flat, vec in interpolation_coefficients(algebra, beta):
+                for flat, vec in reference_interpolation_coefficients(algebra, beta):
                     if vec[j] == 0:
                         continue
                     mono = Monomial((k, e) for k, e in enumerate(flat))
@@ -443,6 +450,89 @@ def test_parameter_base_needs_specializing_for_fibers():
     std = standard_operator(dual_numbers(), base)
     with pytest.raises(NotScalarPointError, match="specialize the base"):
         check_surjectivity(line, 1, std, {"x": ctx.var("t")}, 1)
+
+
+def test_a_fiber_over_base_parameter_coefficients_is_not_scalar():
+    # at a scalar point the Jacobian of t*x - y, or the order-2 jet fiber of
+    # t*x^2 - y, still depends on t: both raise, so the law can skip them
+    base = RingContext(QQ, base_gens=("t",))
+    ctx = RingContext(QQ, scheme_vars=("x", "y"), base_gens=("t",))
+    dual = dual_numbers()
+    ddt = RingOperator(
+        dual, base, {"t": dual.element(base, [base.var("t"), base.const(1)])}
+    )
+    origin = {"x": 0, "y": 0}
+    linear = AffineScheme(ctx, [parse_poly("t*x - y", ctx)])
+    with pytest.raises(NotScalarPointError, match="Jacobian entries"):
+        jacobian_rank(linear, origin)
+    with pytest.raises(NotScalarPointError, match="Jacobian entries"):
+        check_surjectivity(linear, 1, ddt, origin, 1)
+    quadric = AffineScheme(ctx, [parse_poly("t*x^2 - y", ctx)])
+    assert jacobian_rank(quadric, origin) == 1
+    assert check_surjectivity(quadric, 1, ddt, origin, 1).status == "pass"
+    with pytest.raises(NotScalarPointError, match="z_2_0_0_0\\*t"):
+        check_surjectivity(quadric, 2, ddt, origin, 1)
+    with pytest.raises(NotScalarPointError, match="z_2_0\\*t"):
+        prolong.jets.jet_fiber(quadric, 2, origin)
+
+
+def _algebra_specs():
+    """Small algebras of every family the interpolation map meets."""
+    rings = [dual_numbers(), product_algebra(2), dring_algebra(Fraction(-3, 2))]
+    return st.one_of(
+        st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)]).map(
+            lambda vo: truncated_algebra(*vo)
+        ),
+        st.integers(1, 3).map(product_algebra),
+        st.sampled_from([0, 1, 2, Fraction(-3, 2)]).map(dring_algebra),
+        st.tuples(st.sampled_from(rings), st.sampled_from(rings)).map(
+            lambda ef: tensor(*ef)
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    algebra=_algebra_specs(),
+    field=st.sampled_from([QQ, GF(7)]),
+    nvars=st.integers(1, 3),
+    order=st.integers(1, 3),
+)
+def test_assignment_matches_the_reference_coefficients(algebra, field, nvars, order):
+    # the map read off the generic point's expansion against the multinomial
+    # coefficients of prod_i (sum_j y_ij e_j)^(beta_i)
+    ctx = RingContext(field, scheme_vars=("x", "y", "w")[:nvars])
+    operator = standard_operator(algebra, RingContext(field))
+    imap = interpolation_map(AffineScheme(ctx, []), order, operator)
+    assert imap.assignment == reference_interpolation_assignment(imap)
+
+
+def test_no_second_expansion_of_the_generic_point():
+    # the coefficients come from evaluate_in_algebra at the prolongation's
+    # generic point; the multinomial expansion lives only in tests/helpers.py
+    banned = {
+        "multinomial",
+        "gamma_indices",
+        "interpolation_coefficients",
+        "basis_power_expansion",
+    }
+    for path in sorted(Path(prolong.interpolation.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined & banned, path.name
+        if path.name == "interpolation.py":
+            imported = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            assert not imported & {"comb", "compositions"}
+            assert "evaluate_in_algebra" in imported
 
 
 def test_surjectivity_with_a_map_builds_no_jet_scheme(monkeypatch):

@@ -90,7 +90,8 @@ def test_monomial_limits_and_repeated_indices():
     with pytest.raises(ValueError, match="repeated variable index 2"):
         Monomial([(2, 0), (1, 1), (2, 3)])
     ctx = RingContext(QQ, scheme_vars=("x", "y"))
-    assert parse_poly("x^2147483647", ctx) == ctx.monomial({"x": MAX_EXPONENT})
+    top_x = MultiPoly(ctx, {Monomial([(0, MAX_EXPONENT)]): QQ.one})
+    assert parse_poly("x^2147483647", ctx) == top_x
     for text in ("x^2147483648", "y*x^2147483647*x", "x^3000000000"):
         with pytest.raises(ValueError, match=limit):
             parse_poly(text, ctx)
@@ -197,7 +198,7 @@ def test_arithmetic():
     assert 2 * x - x - x == 0
     assert (x * Fraction(1, 2)) * 2 == x
     q = x**2 + 3
-    assert q.degree() == 2 and q.coefficient(MONOMIAL_ONE) == Fraction(3)
+    assert q.degree() == 2 and q.coeffs[MONOMIAL_ONE] == Fraction(3)
 
 
 def test_arithmetic_gf():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import base_change_along, specialize_base
+from helpers import base_change_along, point_down, point_up, specialize_base
 from prolong.scalars import QQ
 from prolong.polynomials import (
     RingContext,
@@ -13,7 +13,7 @@ from prolong.polynomials import (
     transport,
 )
 from prolong.algebra import (
-    custom_algebra,
+    AlgebraScheme,
     dual_numbers,
     product_algebra,
     trivial_algebra,
@@ -24,12 +24,10 @@ from prolong.weil import (
     PointError,
     PolyMorphism,
     SchemePoint,
-    point_down,
-    point_up,
     weil_restrict,
 )
 
-GAUSS = custom_algebra(["1", "e"], [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], name="gauss")
+GAUSS = AlgebraScheme(["1", "e"], [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], name="gauss")
 
 
 def circle_scheme():
