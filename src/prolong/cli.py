@@ -245,6 +245,11 @@ def cmd_interpolate(args):
     if args.check_surjectivity:
         if not args.at or args.dim is None:
             raise UsageError("--check-surjectivity needs --at and --dim")
+        if args.dim > len(fx.scheme.variables):
+            raise UsageError(
+                f"--dim must be at most the number of variables,"
+                f" {len(fx.scheme.variables)}, got {args.dim}"
+            )
         point = _scalar_point(args.at, fx.scheme)
         report = check_surjectivity(
             fx.scheme, args.order, operator, point, args.dim, interpolation=imap
@@ -498,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, order=True)
     p.add_argument("--at", help="point file for the fiber matrices")
     p.add_argument("--check-surjectivity", action="store_true")
-    p.add_argument("--dim", type=int, help="expected dimension at the point")
+    p.add_argument("--dim", type=_at_least(0), help="expected dimension at the point")
     p.set_defaults(handler=cmd_interpolate)
 
     p = sub.add_parser("nabla", help="canonical prolongation point over a point")

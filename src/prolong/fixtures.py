@@ -316,6 +316,12 @@ def load_fixture(path) -> Fixture:
         operator = _operator(data, base_ctx, name)
     with _building(name, "ideal"):
         scheme = _scheme(data.get("ideal") or [], ctx, operator)
+    dim, nvars = data.get("dim"), len(scheme.variables)
+    if dim is not None and not 0 <= dim <= nvars:
+        raise FixtureError(
+            f"{name}: dim must lie between 0 and the number of variables,"
+            f" {nvars}, got {dim}"
+        )
     if data.get("second") is not None:
         second = _operator(data["second"], base_ctx, name, "second.")
     if data.get("alpha") is not None:
@@ -344,7 +350,7 @@ def load_fixture(path) -> Fixture:
         points=points,
         law=data.get("law"),
         expect=expect or "pass",
-        dim=data.get("dim"),
+        dim=dim,
     )
 
 

@@ -136,9 +136,7 @@ def _reduce(
     return MultiPoly(poly.ctx, remainder)
 
 
-def groebner(
-    gens: Iterable[MultiPoly], pair_limit: int = DEFAULT_PAIR_LIMIT
-) -> GroebnerBasis:
+def groebner(gens: Iterable[MultiPoly]) -> GroebnerBasis:
     """Reduced Groebner basis by an incremental, signature-based Buchberger.
 
     The generators enter one at a time, in input order, each first reduced
@@ -158,7 +156,7 @@ def groebner(
       term could only be reduced at its own signature is dropped.
 
     The result is minimized and tail-reduced.  Raises
-    :class:`EngineLimitError` after ``pair_limit`` J-pair reductions.
+    :class:`EngineLimitError` after ``DEFAULT_PAIR_LIMIT`` J-pair reductions.
     """
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
@@ -207,8 +205,8 @@ def groebner(
                 continue
             done = sig
             reductions += 1
-            if reductions > pair_limit:
-                raise EngineLimitError(pair_limit)
+            if reductions > DEFAULT_PAIR_LIMIT:
+                raise EngineLimitError(DEFAULT_PAIR_LIMIT)
             # rewrite: reduce the latest element whose signature divides sig
             later = range(len(table) - 1, k - 1, -1)
             _, g, s = table[next(r for r in later if table[r][2].divides(sig))]
@@ -271,9 +269,7 @@ def _in_span(polys: Sequence[MultiPoly], gens: Sequence[MultiPoly]) -> bool:
     return len(stacked) == len(pivots)
 
 
-def first_nonmember(
-    polys: Iterable[MultiPoly], gens, pair_limit: int = DEFAULT_PAIR_LIMIT
-) -> int | None:
+def first_nonmember(polys: Iterable[MultiPoly], gens) -> int | None:
     """Index of the first poly outside the ideal (gens), or None when every
     one lies in it: certificate first, exact fallback.
 
@@ -287,30 +283,23 @@ def first_nonmember(
         gens = list(gens)
         if _in_span(polys, gens):
             return None
-        gens = groebner(gens, pair_limit)
+        gens = groebner(gens)
     return next((i for i, p in enumerate(polys) if not gens.contains(p)), None)
 
 
-def ideal_member(poly: MultiPoly, gens, pair_limit: int = DEFAULT_PAIR_LIMIT) -> bool:
+def ideal_member(poly: MultiPoly, gens) -> bool:
     """Exact ideal membership of ``poly`` in (gens), a generator list or a
     :class:`GroebnerBasis`."""
-    return first_nonmember([poly], gens, pair_limit) is None
+    return first_nonmember([poly], gens) is None
 
 
-def ideal_equal(
-    gens_a: Iterable[MultiPoly],
-    gens_b: Iterable[MultiPoly],
-    pair_limit: int = DEFAULT_PAIR_LIMIT,
-) -> bool:
+def ideal_equal(gens_a: Iterable[MultiPoly], gens_b: Iterable[MultiPoly]) -> bool:
     """Ideal equality of two generator lists as mutual membership.
 
     (B) in (A) is asked first, so a fallback builds A's basis before B's.
     """
     a, b = list(gens_a), list(gens_b)
-    return (
-        first_nonmember(b, a, pair_limit) is None
-        and first_nonmember(a, b, pair_limit) is None
-    )
+    return first_nonmember(b, a) is None and first_nonmember(a, b) is None
 
 
 # -- exact linear algebra -------------------------------------------------------

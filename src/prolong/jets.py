@@ -77,14 +77,14 @@ def jet_scheme(scheme: AffineScheme, order: int) -> JetScheme:
         base_gens=ctx.base_gens,
         scheme_vars=names + tuple(z_name(a) for a in indices),
     )
+    # the original variables come first in jet_ctx, so alpha indexes them
     gens = [transport(p, jet_ctx) for p in scheme.generators]
-    for p in scheme.generators:
+    for p in list(gens):
         acc = jet_ctx.zero()
         for alpha in indices:
             d = _derivative(p, alpha)
-            if d.is_zero():
-                continue
-            acc = acc + transport(d, jet_ctx) * jet_ctx.var(z_name(alpha))
+            if not d.is_zero():
+                acc = acc + d * jet_ctx.var(z_name(alpha))
         gens.append(acc)
     return JetScheme(AffineScheme(jet_ctx, gens), order, scheme, indices)
 
@@ -225,18 +225,18 @@ def jet_morphism(
     assignment = {}
     series = {}
     for name in morphism.target.variables:
-        image = morphism.assignment[name]
-        assignment[name] = transport(image, ctx)
+        image = transport(morphism.assignment[name], ctx)
+        assignment[name] = image
         series[name] = _series(image, source_jet.indices)
     for beta in target_jet.indices:
         factors = []
         for i, name in enumerate(morphism.target.variables):
             factors.extend([series[name]] * beta[i])
-        coeffs = _series_product(factors, nvars, order, morphism.source.ctx)
+        coeffs = _series_product(factors, nvars, order, ctx)
         acc = ctx.zero()
         for alpha in source_jet.indices:
             c = coeffs.get(alpha)
             if c is not None and not c.is_zero():
-                acc = acc + transport(c, ctx) * ctx.var(z_name(alpha))
+                acc = acc + c * ctx.var(z_name(alpha))
         assignment[z_name(beta)] = acc
     return PolyMorphism(source_jet.scheme, target_jet.scheme, assignment)

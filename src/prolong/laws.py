@@ -408,9 +408,8 @@ def interpolation_diagrams(fx: Fixture, rng: random.Random, trials: int):
         _, ef = compose_operators(e, f)
         for m in (1, 2) if not fx.scheme.generators else (1,):
             imap_ef = interpolation_map(fx.scheme, m, ef)
-            imap_e = interpolation_map(fx.scheme, m, e)
-            imap_f = interpolation_map(imap_e.prolongation.scheme, m, f)
-            composite, deltas = composite_triangle(imap_ef, imap_e, imap_f)
+            imap_f = interpolation_map(imaps[m].prolongation.scheme, m, f)
+            composite, deltas = composite_triangle(imap_ef, imaps[m], imap_f)
             miss = first_nonmember([d for _, d in deltas], composite.source.generators)
             if miss is not None:
                 name, delta = deltas[miss]

@@ -133,21 +133,6 @@ def compose_operators(
     return ef_algebra, RingOperator(ef_algebra, ctx, images)
 
 
-def expand_with_operator(
-    poly: MultiPoly,
-    op: RingOperator,
-    scheme_images: Mapping[str, AlgebraElement],
-    ctx: RingContext,
-) -> AlgebraElement:
-    """Evaluate a full polynomial with base coefficients pushed through ``op``
-    and scheme variables replaced by the given algebra elements."""
-    assignment = dict(scheme_images)
-    for g, value in op.images.items():
-        slots = tuple(transport(s, ctx) for s in value.slots)
-        assignment[g] = AlgebraElement(op.algebra, ctx, slots)
-    return evaluate_in_algebra(poly, assignment, op.algebra, ctx)
-
-
 # -- axiom checkers ---------------------------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """Prolongation spaces, the induced maps on points and morphisms, comparison
 maps between different operators, and composite prolongations over tensor
 algebras.  A prolongation, the Weil restriction of a scheme's base change
-along a ring operator, is built in one expansion: each generator at the
-generic point x_i -> sum_j x_i_j e_j, base coefficients through the operator.
+along a ring operator, is built around one ring map: x_i -> sum_j x_i_j e_j
+on the variables, t -> e(t) on the base; generators, morphism coordinates
+and point values are each expanded once through it.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from .algebra import (
     AlgebraElement,
     AlgebraScheme,
     _fractionize,
+    evaluate_in_algebra,
 )
-from .operators import RingOperator, compose_operators, expand_with_operator
-from .polynomials import RingContext
+from .operators import RingOperator, compose_operators
+from .polynomials import MultiPoly, RingContext, transport
 from .weil import AffineScheme, PolyMorphism, SchemePoint, generic_point
 
 
@@ -25,10 +27,10 @@ from .weil import AffineScheme, PolyMorphism, SchemePoint, generic_point
 class Prolongation:
     """A prolongation space together with the data that produced it.
 
-    ``substitution`` is the generic-point expansion used throughout: each
-    original variable as an algebra element whose slots are the new
-    coordinates, x_i -> sum_j x_i_j e_j.  It is simultaneously the pullback
-    of the canonical map back to the original scheme.
+    ``substitution`` is the full ring map into the algebra over the new ring:
+    x_i -> sum_j x_i_j e_j on the original variables, whose slots are the new
+    coordinates, and t -> e(t) on the base generators.  On the variables it
+    is also the pullback of the canonical map back to the original scheme.
     """
 
     scheme: AffineScheme
@@ -40,6 +42,11 @@ class Prolongation:
     @property
     def ctx(self) -> RingContext:
         return self.scheme.ctx
+
+    def expand(self, poly: MultiPoly) -> AlgebraElement:
+        """A polynomial over the source, or a base-ring value, through the
+        ring map ``substitution``."""
+        return evaluate_in_algebra(poly, self.substitution, self.algebra, self.ctx)
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,10 @@ class ComposedProlongation(Prolongation):
 def prolong(scheme: AffineScheme, operator: RingOperator) -> Prolongation:
     """Restrict the operator base change of the scheme back to the base.
 
-    Each generator is expanded as :func:`prolong_morphism` expands a
-    coordinate; its slots are the new generators.  For an ambient space with
-    r variables and an algebra of rank l the result lives in r*l variables.
+    The operator's images of the base generators, transported once, join
+    the generic point; each generator's expansion through that ring map has
+    the new generators as slots.  For an ambient space with r variables and
+    an algebra of rank l the result lives in r*l variables.
     """
     if scheme.is_algebra_mode:
         raise ValueError("prolongation starts from a plain-mode scheme")
@@ -68,10 +76,13 @@ def prolong(scheme: AffineScheme, operator: RingOperator) -> Prolongation:
     if base.base_gens != scheme.ctx.base_gens or base.field != scheme.ctx.field:
         raise ValueError("operator is defined over a different base ring")
     ctx, substitution = generic_point(scheme, operator.algebra)
+    for g, value in operator.images.items():
+        slots = tuple(transport(s, ctx) for s in value.slots)
+        substitution[g] = AlgebraElement(operator.algebra, ctx, slots)
     generators = [
         s
         for gen in scheme.generators
-        for s in expand_with_operator(gen, operator, substitution, ctx).slots
+        for s in evaluate_in_algebra(gen, substitution, operator.algebra, ctx).slots
     ]
     restricted = AffineScheme(ctx, generators)
     return Prolongation(restricted, scheme, operator.algebra, operator, substitution)
@@ -95,10 +106,10 @@ def nabla(
 ) -> SchemePoint:
     """The canonical point of the prolongation over a point of the scheme.
 
-    Every coordinate value is expanded through the operator and its slots
-    become the new coordinates.  Validation that the image satisfies the
-    prolongation ideal is inherited from point construction, so membership
-    is a checked fact rather than an assumption.
+    Every coordinate value is expanded through the prolongation's ring map
+    and its slots become the new coordinates.  Validation that the image
+    satisfies the prolongation ideal is inherited from point construction,
+    so membership is a checked fact rather than an assumption.
     """
     result = _claimed(result, scheme, operator)
     if not isinstance(point, SchemePoint):
@@ -107,8 +118,7 @@ def nabla(
         raise ValueError("point lies on a different scheme")
     assignment = {}
     for name in scheme.variables:
-        expanded = operator.extend(point.assignment[name])
-        for j, slot in enumerate(expanded.slots):
+        for j, slot in enumerate(result.expand(point.assignment[name]).slots):
             assignment[f"{name}_{j}"] = slot
     return SchemePoint(result.scheme, assignment)
 
@@ -121,18 +131,15 @@ def prolong_morphism(
 ) -> PolyMorphism:
     """The induced morphism between prolongations.
 
-    Each coordinate polynomial of the morphism is evaluated at the generic
-    slot expansion of the source variables, with base coefficients pushed
-    through the operator; slot components give the new coordinate map.
+    Each coordinate polynomial of the morphism is expanded through the
+    source prolongation's ring map; slot components give the new coordinate
+    map.
     """
     source_result = _claimed(source_result, morphism.source, operator)
     target_result = _claimed(target_result, morphism.target, operator)
-    ctx = source_result.ctx
     assignment = {}
     for name in morphism.target.variables:
-        expanded = expand_with_operator(
-            morphism.assignment[name], operator, source_result.substitution, ctx
-        )
+        expanded = source_result.expand(morphism.assignment[name])
         for j, slot in enumerate(expanded.slots):
             assignment[f"{name}_{j}"] = slot
     return PolyMorphism(source_result.scheme, target_result.scheme, assignment)

@@ -152,8 +152,13 @@ def _coerce_value(scheme: AffineScheme, value):
                 s if s.ctx == ctx else transport(s, ctx) for s in value.slots
             )
             value = AlgebraElement(scheme.algebra, ctx, slots)
-        else:
+        elif isinstance(value, (list, tuple)):
             value = scheme.algebra.element(ctx, value)
+        else:
+            raise ValueError(
+                "a coordinate over the algebra must be an algebra element or a"
+                f" list of {scheme.algebra.rank} slots, got {value}"
+            )
         for s in value.slots:
             if not _base_only(scheme, s):
                 raise ValueError("coordinate values must lie in the base ring")

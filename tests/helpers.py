@@ -24,7 +24,7 @@ from prolong.polynomials import (
     transport,
 )
 from prolong.scalars import QQ
-from prolong.weil import AffineScheme, SchemePoint, weil_restrict
+from prolong.weil import AffineScheme, PolyMorphism, SchemePoint, weil_restrict
 
 # the package's monomial order keys by name; the engine itself uses grevlex
 MONOMIAL_ORDERS = {"grlex": grlex_key, "grevlex": grevlex_key}
@@ -724,3 +724,29 @@ def reference_prolong(scheme, operator):
     along the operator (by the reference evaluator), then the package's Weil
     restriction back to the base."""
     return weil_restrict(base_change_along(scheme, operator), operator.algebra)
+
+
+def reference_prolong_morphism(morphism, operator, source_result, target_result):
+    """The induced morphism between prolongations by the route that moves
+    the operator's images into the source prolongation's ring on every call:
+    each coordinate is evaluated (by the reference evaluator) at the generic
+    point x -> sum_j x_j e_j, with every base generator at its freshly
+    transported image."""
+    ctx, algebra = source_result.ctx, operator.algebra
+    assignment = {
+        x: AlgebraElement(
+            algebra, ctx, tuple(ctx.var(f"{x}_{j}") for j in range(algebra.rank))
+        )
+        for x in morphism.source.variables
+    }
+    for g, value in operator.images.items():
+        slots = tuple(transport(s, ctx) for s in value.slots)
+        assignment[g] = AlgebraElement(algebra, ctx, slots)
+    coordinates = {}
+    for name in morphism.target.variables:
+        value = reference_evaluate_in_algebra(
+            morphism.assignment[name], assignment, algebra, ctx
+        )
+        for j, slot in enumerate(value.slots):
+            coordinates[f"{name}_{j}"] = slot
+    return PolyMorphism(source_result.scheme, target_result.scheme, coordinates)

@@ -669,6 +669,14 @@ LAW_FIXTURE = {
     "ideal": ["x^2 - t"],
     "algebra": {"builtin": "truncated", "vars": 1, "order": 1},
 }
+# a point over the Gaussian integers written as a plain value, not slots
+GP_FIXTURE = {
+    "name": "gp",
+    "vars": ["z"],
+    "ideal": [["z^2", "-1"]],
+    "algebra": {"basis": ["1", "i"], "mult": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]},
+    "points": [{"z": "0"}],
+}
 
 
 @pytest.mark.parametrize(
@@ -815,6 +823,19 @@ LAW_FIXTURE = {
             dict(LAW_FIXTURE, name="o", operator={"images": {"s": ["t", "1"]}}),
             "o: operator.images: images for unknown generators ['s']",
         ),
+        (
+            GP_FIXTURE,
+            "gp: points: a coordinate over the algebra must be an algebra element"
+            " or a list of 2 slots, got 0",
+        ),
+        (
+            {"name": "d", "vars": ["x", "y"], "ideal": ["x^2 + y^2 - 1"], "dim": 5},
+            "d: dim must lie between 0 and the number of variables, 2, got 5",
+        ),
+        (
+            {"name": "d", "vars": ["x", "y"], "ideal": ["x^2 + y^2 - 1"], "dim": -1},
+            "d: dim must lie between 0 and the number of variables, 2, got -1",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -850,6 +871,9 @@ LAW_FIXTURE = {
         "unknown-builtin",
         "morphism-misses-a-variable",
         "images-unknown-generator",
+        "algebra-point-not-slots",
+        "dim-above-the-variables",
+        "dim-negative",
     ],
 )
 def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):
@@ -861,6 +885,45 @@ def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, messag
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert message in done.stdout
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        ("5", "--dim must be at most the number of variables, 2, got 5"),
+        ("-1", "argument --dim: must be at least 0, got -1"),
+    ],
+)
+def test_dim_outside_the_variables_exits_two_without_traceback(
+    tmp_path, dim, message
+):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"x": "3/5", "y": "4/5"}))
+    done = run_cli_process(
+        "interpolate",
+        "--input",
+        FIXTURES / "conic.json",
+        "--order",
+        "1",
+        "--at",
+        point,
+        "--check-surjectivity",
+        "--dim",
+        dim,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert message in done.stdout + done.stderr
+
+
+def test_an_algebra_point_that_is_not_slots_exits_two(tmp_path):
+    gp = tmp_path / "gp.json"
+    gp.write_text(json.dumps(GP_FIXTURE))
+    for args in (("weil",), ("check", "--suite", "roundtrip")):
+        done = run_cli_process(*args, "--input", gp)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stdout.startswith("error: gp: points:")
 
 
 def test_exponent_above_the_limit_exits_two_without_traceback(tmp_path):

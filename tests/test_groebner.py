@@ -1,4 +1,5 @@
 import ast
+import importlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -129,26 +130,35 @@ def test_ideal_equal_gf():
     assert ideal_equal(a, b)
 
 
-def test_engine_limit():
+def _set_pair_limit(monkeypatch, limit: int) -> None:
+    module = importlib.import_module("prolong.groebner")
+    monkeypatch.setattr(module, "DEFAULT_PAIR_LIMIT", limit)
+
+
+def test_engine_limit(monkeypatch):
     ctx = ctx_xy()
     gens = [parse_poly("x^2 + y", ctx), parse_poly("x*y - 1", ctx)]
+    _set_pair_limit(monkeypatch, 0)
     with pytest.raises(EngineLimitError):
-        groebner(gens, pair_limit=0)
+        groebner(gens)
     with pytest.raises(EngineLimitError):
-        ideal_equal(gens, [ctx.var("x")], pair_limit=0)
+        ideal_equal(gens, [ctx.var("x")])
 
 
-def test_criteria_skip_pairs_that_reduce_to_zero():
+def test_criteria_skip_pairs_that_reduce_to_zero(monkeypatch):
     # cyclic-3: the Koszul syzygies leave no J-pair to reduce; cyclic-4
     # takes exactly four J-pair reductions
     ctx = RingContext(QQ, scheme_vars=("x", "y", "z"))
     texts = ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
     gens = [parse_poly(t, ctx) for t in texts]
-    assert groebner(gens, pair_limit=0).gens == reference_groebner(gens)
+    _set_pair_limit(monkeypatch, 0)
+    assert groebner(gens).gens == reference_groebner(gens)
     gens = cyclic(4)
-    assert groebner(gens, pair_limit=4).gens == reference_groebner(gens)
+    _set_pair_limit(monkeypatch, 4)
+    assert groebner(gens).gens == reference_groebner(gens)
+    _set_pair_limit(monkeypatch, 3)
     with pytest.raises(EngineLimitError):
-        groebner(gens, pair_limit=3)
+        groebner(gens)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])

@@ -19,7 +19,6 @@ from prolong.operators import (
     check_dring_law,
     check_hasse_axioms,
     compose_operators,
-    expand_with_operator,
     standard_operator,
 )
 
@@ -323,18 +322,3 @@ def test_dring_law():
     # and passes at c = 0
     assert check_dring_law(plain_derivative, 0, ctx, trials=80, seed=5).ok
 
-
-def test_expand_with_operator():
-    full = RingContext(QQ, base_gens=("t",), scheme_vars=("x",))
-    base = base_ctx()
-    op = derivative_operator(base)
-    dual = op.algebra
-    target = RingContext(QQ, base_gens=("t",), scheme_vars=("x_0", "x_1"))
-    ximg = dual.element(
-        target, [target.var("x_0"), target.var("x_1")]
-    )
-    value = expand_with_operator(parse_poly("x^2 - t", full), op, {"x": ximg}, target)
-    assert value.slots == (
-        parse_poly("x_0^2 - t", target),
-        parse_poly("2*x_0*x_1 - 1", target),
-    )

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -10,13 +12,19 @@ from prolong.algebra import (
     dring_algebra,
     dual_numbers,
     product_algebra,
+    tensor,
     trivial_algebra,
     truncated_algebra,
 )
-from helpers import reference_prolong, solve_linear, swap_renaming
+from helpers import (
+    reference_prolong,
+    reference_prolong_morphism,
+    solve_linear,
+    swap_renaming,
+)
 from prolong.fixtures import load_fixtures
 from prolong.groebner import ExactMatrix, ideal_equal, rank
-from prolong.jets import jet_scheme
+from prolong.jets import jet_morphism, jet_scheme
 from prolong.operators import RingOperator, compose_operators, standard_operator
 from prolong.polynomials import (
     Monomial,
@@ -86,6 +94,9 @@ def test_prolong_dual_frozen_and_ambient():
         "2*x_0*x_1 - 1",
     ]
     assert [str(s) for s in result.substitution["x"].slots] == ["x_0", "x_1"]
+    # the ring map also carries the base generator to its operator image
+    assert [str(s) for s in result.substitution["t"].slots] == ["t", "1"]
+    assert result.substitution["t"].ctx == result.ctx
 
     line = scheme_over_t(("x",), [])
     ambient = prolong(line, taylor_trunc2())
@@ -202,6 +213,117 @@ def test_prolong_matches_reference_on_fixtures_and_jets(order):
             assert_matches_reference(scheme, operator)
             checked += 1
     assert checked >= 10
+
+
+# -- one ring map: the induced maps against the routes that rebuild it ---------
+
+
+RING_MAP_ALGEBRAS = [
+    truncated_algebra(1, 2),
+    product_algebra(2),
+    dring_algebra(0),
+    dring_algebra(1),
+    dring_algebra(Fraction(-3, 2)),
+    tensor(DUAL, PROD2),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([QQ, GF(7)]),
+    st.sampled_from(RING_MAP_ALGEBRAS),
+    st.integers(1, 2),
+)
+def test_the_ring_map_matches_the_per_call_routes(data, field, algebra, nvars):
+    # prolong against base change then restriction, prolong_morphism against
+    # transporting the operator's images per call, nabla against extend
+    base = RingContext(field, base_gens=("t",))
+    slots = [data.draw(coefficient_polys(base)) for _ in range(algebra.rank)]
+    operator = RingOperator(algebra, base, {"t": algebra.element(base, slots)})
+    names = ("x", "y")[:nvars]
+    ctx = RingContext(field, base_gens=("t",), scheme_vars=names)
+    values = {x: data.draw(coefficient_polys(base)) for x in names}
+    on_point = {x: transport(v, ctx) for x, v in values.items()}
+    polys = data.draw(st.lists(coefficient_polys(ctx), min_size=1, max_size=2))
+    scheme = AffineScheme(ctx, [p - substitute(p, on_point, ctx) for p in polys])
+    result = prolong(scheme, operator)
+    reference = reference_prolong(scheme, operator)
+    assert result.ctx == reference.ctx
+    assert result.scheme.generators == reference.generators
+
+    sctx = RingContext(field, base_gens=("t",), scheme_vars=("u", "v")[:nvars])
+    source_gens = data.draw(st.lists(coefficient_polys(sctx), max_size=2))
+    source = AffineScheme(sctx, source_gens)
+    images = {x: data.draw(coefficient_polys(sctx)) for x in names}
+    morphism = PolyMorphism(source, scheme, images)
+    source_result = prolong(source, operator)
+    induced = prolong_morphism(morphism, operator, source_result, result)
+    expected = reference_prolong_morphism(morphism, operator, source_result, result)
+    assert induced.assignment == expected.assignment
+
+    image = nabla(scheme, operator, SchemePoint(scheme, values), result)
+    for x in names:
+        slots = [transport(s, result.ctx) for s in operator.extend(values[x]).slots]
+        assert [image.assignment[f"{x}_{j}"] for j in range(algebra.rank)] == slots
+
+
+def test_held_constructions_transport_only_whole_polynomials(monkeypatch):
+    op = dual_ddt()
+    parabola = scheme_over_t(("x", "y"), ["y - x^2", "t*y - t*x^2"])
+    line = scheme_over_t(("s",), [])
+    f = PolyMorphism(
+        line, parabola, {"x": line.ctx.var("s"), "y": parse_poly("s^2", line.ctx)}
+    )
+    t = BASE.var("t")
+    point = SchemePoint(parabola, {"x": t, "y": t * t})
+    calls = []
+    for name in ("prolongations", "jets", "weil"):
+        module = importlib.import_module(f"prolong.{name}")
+
+        def counting(poly, *args, real=module.transport, **kwargs):
+            calls.append(poly)
+            return real(poly, *args, **kwargs)
+
+        monkeypatch.setattr(module, "transport", counting)
+    # the operator's image of t moves into each prolongation once, per slot
+    held, held_line = prolong(parabola, op), prolong(line, op)
+    assert len(calls) == 2 * DUAL.rank
+    calls.clear()
+    nabla(parabola, op, point, held)
+    prolong_morphism(f, op, held_line, held)
+    assert calls == []
+    jet, jet_line = jet_scheme(parabola, 2), jet_scheme(line, 2)
+    assert calls == list(parabola.generators)
+    calls.clear()
+    jet_morphism(f, 2, jet_line, jet)
+    assert calls == [f.assignment["x"], f.assignment["y"]]
+
+
+def test_one_ring_map_and_no_operator_extension_in_nabla():
+    # prolong, prolong_morphism and nabla expand through the prolongation's
+    # ring map; no module keeps a second route that rebuilds it per call
+    module = importlib.import_module("prolong.prolongations")
+    for path in sorted(Path(module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert "expand_with_operator" not in defined, path.name
+    tree = ast.parse(Path(module.__file__).read_text())
+    body = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "nabla"
+    )
+    assert not any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "extend"
+        for node in ast.walk(body)
+    )
 
 
 def test_tangent_space_of_smooth_hypersurfaces():
