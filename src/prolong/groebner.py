@@ -2,9 +2,10 @@
 
 Buchberger's algorithm over a field, reduced bases, ideal membership and
 equality, plus exact row reduction for rank and kernel computations.
-Every membership and equality question goes through :func:`first_nonmember`,
-certificate first, exact fallback: one sparse rank shows when polynomials are
-K-linear combinations of the generators, which proves them members, and a
+Ideal questions ask a certificate first and fall back to exact computation:
+in :func:`first_nonmember`, one sparse rank shows when polynomials are K-linear
+combinations of the generators, which proves them members, and
+:func:`ideal_equal` first compares the two lists' reduced echelon forms; a
 Groebner basis is built only for what that leaves open.  The one monomial
 order is grevlex.
 Base-ring generators participate as ordinary ring variables (ordered after
@@ -14,11 +15,10 @@ base ring become ideal identities here.
 Division keeps its working terms in a heap, so each monomial's order key is
 computed once, when the monomial enters.  Bases are built incrementally, one
 generator at a time, by a signature-based Buchberger in the manner of F5
-(Faugere 2002) and GVW (Gao, Volny & Wang 2016): every element carries a
-signature, position over term with grevlex on the terms, J-pairs are
-taken by increasing signature, and the syzygy and rewrite criteria skip the
-pairs whose reductions would end in zero or repeat an earlier one.  A cap on
-the J-pair reductions turns runaway computations into an explicit
+(Faugere 2002) and GVW (Gao, Volny & Wang 2016), with the rewritten
+criterion under the ratio order (Eder & Faugere, JSC 80, 2017); signatures,
+lcms and divisibility tests work on packed exponent ints.  A cap on the
+J-pair reductions turns runaway computations into an explicit
 :class:`EngineLimitError` instead of a wrong or slow answer.
 """
 
@@ -28,7 +28,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .polynomials import MONOMIAL_ONE, Monomial, MultiPoly, grevlex_key
+from .polynomials import Monomial, MultiPoly, grevlex_key
+from .polynomials import packed_guard, packed_lcm, packed_monomial, packed_mul
 from .scalars import Field
 
 DEFAULT_PAIR_LIMIT = 50000
@@ -65,26 +66,23 @@ def normal_form(poly: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     which makes the result deterministic for any basis and canonical when the
     basis is a reduced Groebner basis.
     """
-    table = [
-        (g.leading_monomial(grevlex_key), g, None) for g in basis if not g.is_zero()
-    ]
-    return _reduce(poly, table)
+    lms = [(g.leading_monomial(grevlex_key), g) for g in basis if not g.is_zero()]
+    return _reduce(poly, [(lm.p, lm, g, None) for lm, g in lms])
 
 
 def _reduce(
     poly: MultiPoly,
-    table: Sequence[tuple[Monomial, MultiPoly, Monomial | None]],
-    sig: Monomial | None = None,
+    table: Sequence[tuple[int, Monomial, MultiPoly, tuple[int, int] | None]],
+    sig: tuple[int, int] | None = None,
 ) -> MultiPoly | None:
-    """Remainder of ``poly`` by the ``(leading monomial, divisor, signature)``
-    table; with a signature ``sig``, its regular top reduction.
+    """Remainder of ``poly`` by the ``(packed leading monomial, leading
+    monomial, divisor, signature)`` table; with a signature ``sig``, its
+    regular top reduction.  Signatures are (degree, packed exponents) pairs.
 
-    The working terms sit in a heap on the negated order key, two ints (the
-    degree and the packed exponents), computed once per monomial; distinct
-    monomials have distinct keys, so entries never compare monomials.  Every
-    term a step adds is smaller than the one it removes, so a popped monomial
-    never comes back; a cancelled term keeps a zero coefficient and is
-    dropped when popped.
+    Working terms are kept by packed exponents, in a heap on (-degree,
+    packed), grevlex reversed, and become Monomials in the result alone.  A
+    step adds only terms below the one it removes, so a popped monomial
+    never comes back; a cancelled term is dropped when popped.
 
     Under ``sig`` a divisor of signature ``s`` reduces only when ``s`` times
     the step's monomial is below ``sig`` (a divisor of signature None always
@@ -92,47 +90,46 @@ def _reduce(
     is.  When that term could be reduced at ``sig`` itself, the reduction is
     singular and the result is None.
     """
-    field = poly.ctx.field
-    nvars = poly.ctx.nvars
-    bound = None if sig is None else grevlex_key(sig, nvars)
-
-    def entry(m: Monomial) -> tuple[int, int, Monomial]:
-        degree, rest = grevlex_key(m, nvars)
-        return -degree, -rest, m
-
-    work = dict(poly.coeffs)
-    heap = [entry(m) for m in work]
+    field, zero = poly.ctx.field, poly.ctx.field.zero
+    is_zero, sub, mul, div = field.is_zero, field.sub, field.mul, field.div
+    guard = packed_guard(poly.ctx.nvars)
+    work = {m.p: c for m, c in poly.coeffs.items()}
+    heap = [(-m.deg, m.p) for m in poly.coeffs]
     heapq.heapify(heap)
     remainder: dict[Monomial, object] = {}
     while heap:
-        lm = heapq.heappop(heap)[2]
-        lc = work.pop(lm)
-        if field.is_zero(lc):
+        negdeg, lp = heapq.heappop(heap)
+        lc = work.pop(lp)
+        if is_zero(lc):
             continue
         singular = False
-        for gm, g, s in table:
-            if gm.divides(lm):
-                shift = lm.divide(gm)
-                if s is not None:
-                    shifted = grevlex_key(shift.mul(s), nvars)
-                    if shifted >= bound:
-                        singular = singular or shifted == bound
-                        continue
-                factor = field.div(lc, g.coeffs[gm])
-                for m, c in g.coeffs.items():
-                    if m == gm:
-                        continue
-                    mono = m.mul(shift)
-                    if mono not in work:
-                        heapq.heappush(heap, entry(mono))
-                    work[mono] = field.sub(
-                        work.get(mono, field.zero), field.mul(factor, c)
-                    )
-                break
+        for gp, gm, g, s in table:
+            if ((lp | guard) - gp) & guard != guard:
+                continue
+            shift = -negdeg - gm.deg  # the degree of lm/gm
+            if s is not None:
+                # s times lm/gm against sig, in grevlex
+                deg, p = shift + s[0], lp - gp + s[1]
+                if deg > sig[0] or deg == sig[0] and p <= sig[1]:
+                    singular = singular or (deg, p) == sig
+                    continue
+            factor = div(lc, g.coeffs[gm])
+            for m, c in g.coeffs.items():
+                if m.p != gp:
+                    deg = m.deg + shift
+                    p = packed_mul(m.p, lp - gp, deg, guard)
+                    if p not in work:
+                        heapq.heappush(heap, (-deg, p))
+                    work[p] = sub(work.get(p, zero), mul(factor, c))
+            break
         else:
-            if sig is not None:
-                return None if singular else MultiPoly(poly.ctx, {lm: lc, **work})
-            remainder[lm] = lc
+            if sig is not None and singular:
+                return None
+            remainder[packed_monomial(lp, -negdeg)] = lc
+            if sig is not None:  # the heap holds the terms left in work
+                for negdeg, p in heap:
+                    remainder[packed_monomial(p, -negdeg)] = work[p]
+                break
     return MultiPoly(poly.ctx, remainder)
 
 
@@ -141,17 +138,20 @@ def groebner(gens: Iterable[MultiPoly]) -> GroebnerBasis:
 
     The generators enter one at a time, in input order, each first reduced
     by the reduced basis of those before it.  An element built while the
-    i-th one is added has a signature t*e_i, kept as the monomial t; the
-    basis of the earlier generators counts as below every such signature
-    (position over term, grevlex on t).  The J-pair of two
-    elements is the multiple of the one with the larger signature whose
-    leading monomial is their lcm, and J-pairs are taken by increasing
-    signature, each signature once.  Three criteria apply:
+    i-th one is added has a signature t*e_i, kept as the degree and the
+    packed exponents of t; the basis of the earlier generators counts as
+    below every such signature (position over term, grevlex on t).  The
+    J-pair of two elements is the multiple of the one with the larger
+    signature whose leading monomial is their lcm; J-pairs are taken by
+    increasing signature, all pairs of one signature together.  Three
+    criteria apply:
 
     * syzygy: a signature that lm(h) divides, for h in the earlier basis
       (the Koszul syzygies), or that a reduction to zero had, is skipped;
-    * rewrite: a signature is reduced as the multiple of the latest element
-      whose signature divides it;
+    * rewritten: a signature's rewriter is the element of largest ratio
+      sig/lm, so of least multiple there (the latest on a tie), among those
+      whose signature divides it; the signature is reduced, as that
+      multiple, only when one of its pairs multiplies the rewriter;
     * only regular top reductions are made, and an element whose leading
       term could only be reduced at its own signature is dropped.
 
@@ -164,109 +164,121 @@ def groebner(gens: Iterable[MultiPoly]) -> GroebnerBasis:
     ctx = basis[0].ctx
     if any(g.ctx != ctx for g in basis):
         raise ValueError("generators from different contexts")
-    field, nvars = ctx.field, ctx.nvars
-    # (leading monomial, monic element, signature; None for the earlier basis)
-    table: list[tuple[Monomial, MultiPoly, Monomial | None]] = []
+    field, nvars, guard = ctx.field, ctx.nvars, packed_guard(ctx.nvars)
+    # (packed lm, lm, monic element, signature; None for the earlier basis)
+    table: list[tuple[int, Monomial, MultiPoly, tuple[int, int] | None]] = []
     reductions = 0
 
-    def add(poly: MultiPoly, sig: Monomial) -> None:
+    def add(poly: MultiPoly, sig: tuple[int, int]) -> None:
         lm = poly.leading_monomial(grevlex_key)
         new = len(table)
-        for j, (gm, _, s) in enumerate(table):
-            lcm = lm.lcm(gm)
-            k, at = new, lcm.divide(lm).mul(sig)
+        for j, (gp, gm, _, s) in enumerate(table):
+            lcm, deg = packed_lcm(lm, gm, guard)
+            k, d = new, deg - lm.deg + sig[0]
+            at = packed_mul(lcm - lm.p, sig[1], d, guard)
             if s is not None:
-                other = lcm.divide(gm).mul(s)
+                e = deg - gm.deg + s[0]
+                other = packed_mul(lcm - gp, s[1], e, guard)
                 if other == at:  # equal signatures make no J-pair
                     continue
-                if grevlex_key(other, nvars) > grevlex_key(at, nvars):
-                    k, at = j, other
-            # a pair is its signature's key, the element it multiplies and
-            # the other one, from which the signature is found again
-            if not any(z.divides(at) for z in syzygies):
-                pair = (*grevlex_key(at, nvars), k, j if k == new else new)
-                heapq.heappush(pairs, pair)
-        table.append((lm, poly.scale(field.inv(poly.coeffs[lm])), sig))
+                if e > d or e == d and other < at:
+                    k, d, at = j, e, other
+            # a pair is its signature's grevlex key and the element it multiplies
+            for z in syzygies:
+                if ((at | guard) - z) & guard == guard:
+                    break
+            else:
+                heapq.heappush(pairs, (d, -at, k))
+        ratios.append((sig[0] - lm.deg, lm.p - sig[1], new, sig[1]))
+        table.append((lm.p, lm, poly.scale(field.inv(poly.coeffs[lm])), sig))
 
     for f in basis:
         table = _reduced(table, nvars)
         f = _reduce(f, table)
         if f.is_zero():
             continue
-        syzygies = [gm for gm, _, _ in table]  # Koszul: lm(h)*e_i
-        pairs: list[tuple[int, int, int, int]] = []
-        add(f, MONOMIAL_ONE)
-        done = None  # pairs of one signature leave the heap together
+        syzygies = [gp for gp, *_ in table]  # Koszul: lm(h)*e_i
+        pairs: list[tuple[int, int, int]] = []
+        # per element: ratio sig/lm (degree, packed), index, packed signature
+        ratios: list[tuple[int, int, int, int]] = []
+        add(f, (0, 0))
         while pairs:
-            k, j = heapq.heappop(pairs)[2:]
-            gm, _, s = table[k]
-            sig = table[j][0].lcm(gm).divide(gm).mul(s)
-            if sig == done or any(z.divides(sig) for z in syzygies):
+            d, neg, k = heapq.heappop(pairs)
+            ks = {k}
+            while pairs and pairs[0][:2] == (d, neg):
+                ks.add(heapq.heappop(pairs)[2])
+            at = -neg
+            if any(((at | guard) - z) & guard == guard for z in syzygies):
                 continue
-            done = sig
+            # the rewriter: largest ratio, then latest, of signatures dividing at
+            r = max(x for x in ratios if ((at | guard) - x[3]) & guard == guard)[2]
+            if r not in ks:
+                continue
             reductions += 1
             if reductions > DEFAULT_PAIR_LIMIT:
                 raise EngineLimitError(DEFAULT_PAIR_LIMIT)
-            # rewrite: reduce the latest element whose signature divides sig
-            later = range(len(table) - 1, k - 1, -1)
-            _, g, s = table[next(r for r in later if table[r][2].divides(sig))]
-            t = sig.divide(s)
+            _, _, g, s = table[r]
+            t = packed_monomial(at - s[1], d - s[0])
             h = MultiPoly(ctx, {m.mul(t): c for m, c in g.coeffs.items()})
-            h = _reduce(h, table, sig)
+            h = _reduce(h, table, (d, at))
             if h is not None and h.is_zero():
-                syzygies.append(sig)
+                syzygies.append(at)
             elif h is not None:
-                add(h, sig)
-    return GroebnerBasis(tuple(g for _, g, _ in _reduced(table, nvars)))
+                add(h, (d, at))
+    return GroebnerBasis(tuple(g for _, _, g, _ in _reduced(table, nvars)))
 
 
 def _reduced(
-    table: Sequence[tuple[Monomial, MultiPoly, Monomial | None]], nvars: int
-) -> list[tuple[Monomial, MultiPoly, None]]:
+    table: Sequence[tuple[int, Monomial, MultiPoly, tuple[int, int] | None]],
+    nvars: int,
+) -> list[tuple[int, Monomial, MultiPoly, None]]:
     """The reduced basis of a Groebner basis given as a monic table, largest
     leading monomial first."""
-    # minimize: drop generators whose leading monomial another one divides
-    minimal = [
-        (lm, g, None)
-        for i, (lm, g, _) in enumerate(table)
-        if not any(
-            k != i and other.divides(lm) and (other != lm or k < i)
-            for k, (other, _, _) in enumerate(table)
-        )
-    ]
+    guard = packed_guard(nvars)
+    # minimize: by increasing degree, keep each generator whose leading
+    # monomial no kept one divides
+    minimal: list[tuple[int, Monomial, MultiPoly, None]] = []
+    for lp, lm, g, _ in sorted(table, key=lambda item: item[1].deg):
+        if not any(((lp | guard) - kept) & guard == guard for kept, *_ in minimal):
+            minimal.append((lp, lm, g, None))
     # tail-reduce each against the others; leading terms stay monic
     reduced = [
-        (lm, _reduce(g, minimal[:i] + minimal[i + 1 :]), None)
-        for i, (lm, g, _) in enumerate(minimal)
+        (lp, lm, _reduce(g, minimal[:i] + minimal[i + 1 :]), None)
+        for i, (lp, lm, g, _) in enumerate(minimal)
     ]
-    reduced.sort(key=lambda item: grevlex_key(item[0], nvars), reverse=True)
+    reduced.sort(key=lambda item: grevlex_key(item[1], nvars), reverse=True)
     return reduced
+
+
+def _sparse_rows(*lists: Sequence[MultiPoly]):
+    """The field and each list of polys as column -> coefficient rows, one
+    column per monomial of all their supports; None when the nonzero polys
+    come from more than one context."""
+    polys = [p for polys in lists for p in polys if not p.is_zero()]
+    if any(p.ctx != polys[0].ctx for p in polys):
+        return None
+    monomials = dict.fromkeys(m for p in polys for m in p.coeffs)
+    columns = {m: i for i, m in enumerate(monomials)}
+    rows = [[{columns[m]: c for m, c in p.coeffs.items()} for p in ps] for ps in lists]
+    return (polys[0].ctx.field if polys else None), rows
 
 
 def _in_span(polys: Sequence[MultiPoly], gens: Sequence[MultiPoly]) -> bool:
     """Whether every poly is a K-linear combination of ``gens``.
 
-    True proves each poly lies in the ideal (gens); False proves nothing.
-    One column per monomial of the supports: the generators' echelon form
-    has the rank of the generators, and stacking the polys under it keeps
-    that rank exactly when they lie in the span.  Polys from more than one
-    context give False, so the exact path raises its own error.
+    True proves each poly lies in the ideal (gens); False proves nothing,
+    and so do polys from more than one context, which the exact path then
+    rejects.  Stacking the polys under the generators' echelon form keeps
+    its rank exactly when they lie in the span.
     """
-    polys = [p for p in polys if not p.is_zero()]
-    gens = [g for g in gens if not g.is_zero()]
-    if not polys:
+    if all(p.is_zero() for p in polys):
         return True
-    ctx = polys[0].ctx
-    if any(p.ctx != ctx for p in polys + gens):
+    rows = _sparse_rows(gens, polys)
+    if rows is None:
         return False
-    columns: dict[Monomial, int] = {}
-
-    def row(poly: MultiPoly) -> dict:
-        return {columns.setdefault(m, len(columns)): c for m, c in poly.coeffs.items()}
-
-    echelon, pivots = _rref(ctx.field, [row(g) for g in gens])
-    stacked = _rref(ctx.field, echelon + [row(p) for p in polys])[1]
-    return len(stacked) == len(pivots)
+    field, (gen_rows, poly_rows) = rows
+    echelon, pivots = _rref(field, gen_rows)
+    return len(_rref(field, echelon + poly_rows)[1]) == len(pivots)
 
 
 def first_nonmember(polys: Iterable[MultiPoly], gens) -> int | None:
@@ -294,11 +306,18 @@ def ideal_member(poly: MultiPoly, gens) -> bool:
 
 
 def ideal_equal(gens_a: Iterable[MultiPoly], gens_b: Iterable[MultiPoly]) -> bool:
-    """Ideal equality of two generator lists as mutual membership.
+    """Ideal equality of two generator lists, certificate first.
 
-    (B) in (A) is asked first, so a fallback builds A's basis before B's.
+    Equal reduced echelon forms of the two lists over one column map mean
+    one K-span, which proves the ideals equal.  Otherwise mutual membership
+    decides, (B) in (A) first, so a fallback builds A's basis before B's.
     """
     a, b = list(gens_a), list(gens_b)
+    rows = _sparse_rows(a, b)
+    if rows is not None:
+        field, (rows_a, rows_b) = rows
+        if _rref(field, rows_a) == _rref(field, rows_b):
+            return True
     return first_nonmember(b, a) is None and first_nonmember(a, b) is None
 
 

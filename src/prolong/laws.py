@@ -32,6 +32,7 @@ from .polynomials import parse_poly, poly_to_str, random_poly, transport
 from .prolongations import (
     AlgebraMapError,
     compare_map,
+    composed_renaming,
     nabla,
     prolong,
     prolong_composed,
@@ -329,16 +330,18 @@ def composite_triangle(
 ):
     """The interpolation map of a composite operator against the iterated
     one: ``imap_ef`` is along the composite of e and f, ``imap_e`` along e
-    and ``imap_f`` along f over ``imap_e``'s prolongation, all of one order.
+    and ``imap_f`` along f over ``imap_e``'s prolongation with
+    ``imap_e.source`` as its jet scheme, all of one order.
 
     Returns ``(composite, deltas)``: the iterated map, and the nonzero
     differences of the two maps as ``(variable, difference)`` pairs; the
     triangle commutes when each lies in the ideal of ``composite.source``.
     """
     e, f = imap_e.operator, imap_f.operator
-    composite = prolong_morphism(imap_e.morphism, f).compose(imap_f.morphism)
-    source_rename = dict(prolong_composed(imap_e.jet.source, e, f).renaming)
-    target_rename = dict(prolong_composed(imap_ef.jet.scheme, e, f).renaming)
+    tau = prolong_morphism(imap_e.morphism, f, source_result=imap_f.target)
+    composite = tau.compose(imap_f.morphism)
+    source_rename = composed_renaming(imap_e.jet.source, e, f)
+    target_rename = composed_renaming(imap_ef.jet.scheme, e, f)
     deltas = []
     for name, poly in imap_ef.assignment.items():
         lhs = transport(poly, composite.source.ctx, rename=source_rename)
@@ -408,7 +411,8 @@ def interpolation_diagrams(fx: Fixture, rng: random.Random, trials: int):
         _, ef = compose_operators(e, f)
         for m in (1, 2) if not fx.scheme.generators else (1,):
             imap_ef = interpolation_map(fx.scheme, m, ef)
-            imap_f = interpolation_map(imaps[m].prolongation.scheme, m, f)
+            pro = imaps[m].prolongation
+            imap_f = interpolation_map(pro.scheme, m, f, jet=imaps[m].source)
             composite, deltas = composite_triangle(imap_ef, imaps[m], imap_f)
             miss = first_nonmember([d for _, d in deltas], composite.source.generators)
             if miss is not None:
@@ -434,7 +438,8 @@ def interpolation_diagrams(fx: Fixture, rng: random.Random, trials: int):
 
 def surjectivity(fx: Fixture, rng: random.Random, trials: int):
     """The interpolation map is onto the target jet fiber at the fixture's
-    smooth points, for each of its operators at orders 1 and 2."""
+    smooth points, for each of its operators at orders 1 and 2; a fixture
+    with no point left to check is not applicable."""
     if fx.family is None and not fx.points:
         raise NotApplicable("no points to test at")
     operators = [fx.operator]
@@ -467,6 +472,8 @@ def surjectivity(fx: Fixture, rng: random.Random, trials: int):
                     skipped += 1
                 else:
                     checks += 1
+    if not checks:
+        raise NotApplicable(f"no point checked, {skipped} skipped")
     return checks, {"skipped_points": skipped}
 
 

@@ -132,6 +132,31 @@ def _fields(p: int) -> tuple[tuple[int, int], ...]:
 MONOMIAL_ONE = Monomial()
 
 
+# Packed exponents as bare ints, for monomials rarely needed as objects (the
+# Groebner engine's signatures): with ``guard = packed_guard(nvars)``, ``a``
+# divides ``b`` exactly when ``((b | guard) - a) & guard == guard``.
+packed_guard = _guard
+
+
+def packed_lcm(a: Monomial, b: Monomial, guard: int) -> tuple[int, int]:
+    """The packed exponents and the degree of lcm(a, b)."""
+    wins = ((a.p | guard) - b.p) & guard  # guard bits of the fields where a >= b
+    p = b.p ^ ((a.p ^ b.p) & (wins - (wins >> 31)))
+    small = a.deg + b.deg < _FIELD  # then p % _FIELD sums the fields
+    return p, p % _FIELD if small else sum(e for _, e in _fields(p))
+
+
+def packed_mul(p: int, q: int, deg: int, guard: int) -> int:
+    """The product ``p + q`` of degree ``deg``, checked like Monomial.mul."""
+    if deg > MAX_EXPONENT and (p + q) & guard:
+        raise ValueError(f"monomial exponent above {_LIMIT}")
+    return p + q
+
+
+def packed_monomial(p: int, deg: int) -> Monomial:
+    return _packed(p, deg, (p.bit_length() + 31) >> 5)
+
+
 def grlex_key(m: Monomial, nvars: int) -> tuple[int, int]:
     """Graded lexicographic key, variable 0 in the most significant field."""
     return (m.deg, sum(e << 32 * (nvars - 1 - i) for i, e in m.exps))

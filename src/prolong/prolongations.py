@@ -236,29 +236,28 @@ def compare_map(
     return PolyMorphism(source_result.scheme, target_result.scheme, assignment)
 
 
+def composed_renaming(
+    scheme: AffineScheme, e: RingOperator, f: RingOperator
+) -> dict[str, str]:
+    """The renaming x_{j*lf+j'} -> x_j_j' of the scheme's variables, from
+    the prolongation along the tensor of e's and f's algebras to the
+    iterated one (first along e, then f): the flat tensor slot becomes the
+    nested slot pair."""
+    lf = f.algebra.rank
+    return {
+        f"{name}_{j * lf + jp}": f"{name}_{j}_{jp}"
+        for name in scheme.variables
+        for j in range(e.algebra.rank)
+        for jp in range(lf)
+    }
+
+
 def prolong_composed(
     scheme: AffineScheme, e: RingOperator, f: RingOperator
 ) -> ComposedProlongation:
-    """Prolongation along the tensor of two operators' algebras.
-
-    Its ideal matches the iterated prolongation (first along e, then f)
-    after the exposed renaming x_{j*lf+j'} -> x_j_j', which identifies the
-    flat tensor slot with the nested slot pair.
-    """
+    """Prolongation along the tensor of two operators' algebras; its ideal
+    matches the iterated prolongation under :func:`composed_renaming`."""
     _, ef = compose_operators(e, f)
-    base = prolong(scheme, ef)
-    lf = f.algebra.rank
-    renaming = {}
-    for name in scheme.variables:
-        for j in range(e.algebra.rank):
-            for jp in range(lf):
-                renaming[f"{name}_{j * lf + jp}"] = f"{name}_{j}_{jp}"
-    return ComposedProlongation(
-        base.scheme,
-        base.source,
-        base.algebra,
-        base.operator,
-        base.substitution,
-        (e, f),
-        renaming,
-    )
+    renaming = composed_renaming(scheme, e, f)
+    base = vars(prolong(scheme, ef))
+    return ComposedProlongation(**base, factors=(e, f), renaming=renaming)

@@ -557,6 +557,18 @@ def cyclic(n: int, field=None) -> list:
     return gens + [product - 1]
 
 
+# sha256 of reduced bases, one printed generator a line: criterion 08's
+# parabola triangle at m = 1 as the Gebauer-Moeller engine computed it, and
+# cyclic-5 over QQ as the signature engine did before the rewritten
+# criterion; the all-pairs reference engine is too slow on either
+TRIANGLE_BASIS_SHA256 = (
+    "1798031b55ae386391d6372b978ac312dcfb1b7ea82d6b9b260618edf46a157f"
+)
+CYCLIC5_BASIS_SHA256 = (
+    "84d2faadd62711c6049beeef64d27b689d59d933f20504ccc7f4705ab5972764"
+)
+
+
 def count_zero_reductions(monkeypatch) -> list:
     """Record, for every division the Groebner engine runs from now on,
     whether it ended in zero."""

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    TRIANGLE_BASIS_SHA256,
     count_zero_reductions,
     divided_power_oracle,
     partial_derivative,
@@ -167,7 +168,9 @@ def composite_triangles():
         _, ef = compose_operators(e, f)
         imap_ef = interpolation_map(scheme, m, ef)
         imap_e = interpolation_map(scheme, m, e)
-        imap_f = interpolation_map(imap_e.prolongation.scheme, m, f)
+        imap_f = interpolation_map(
+            imap_e.prolongation.scheme, m, f, jet=imap_e.source
+        )
         assert imap_ef.source.z_variables == imap_f.source.z_variables
         yield scheme, m, *composite_triangle(imap_ef, imap_e, imap_f)
 
@@ -481,14 +484,6 @@ def test_span_certificates_settle_criteria_01_and_08_without_groebner(monkeypatc
     for left, right in quotient_squares():
         assert left.equals_mod_ideal(right)
     assert calls == []
-
-
-# sha256 of the parabola triangle's reduced basis, one printed generator a
-# line, as the Gebauer-Moeller engine computed it: the all-pairs reference
-# engine is too slow on these 8 generators in 16 variables
-TRIANGLE_BASIS_SHA256 = (
-    "1798031b55ae386391d6372b978ac312dcfb1b7ea82d6b9b260618edf46a157f"
-)
 
 
 def test_the_triangle_basis_is_pinned_and_no_division_ends_in_zero(monkeypatch):

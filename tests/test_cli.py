@@ -543,10 +543,27 @@ def test_singular_points_are_skipped_not_failed(capsys, tmp_path):
     )
     assert code == 0
     entry = payload["suites"][0]["fixtures"][0]
-    assert entry["status"] == "pass"
-    assert entry["checks"] == 0
-    assert entry["skipped_points"] == 2
+    # no point is left to check, so the fixture is a skip, not an empty pass
+    assert entry == {
+        "fixture": "node",
+        "status": "skip",
+        "reason": "no point checked, 2 skipped",
+    }
 
+
+def test_a_dim_that_leaves_no_point_to_check_is_a_skip(capsys, tmp_path):
+    # every point of the conic is a Jacobian-rank skip under dim 2
+    target = _edited_fixture(tmp_path, "conic", dim=2)
+    code, payload = run_json(
+        capsys, "check", "--suite", "surjectivity", "--input", target, "--trials", 2
+    )
+    assert code == 0
+    report = payload["suites"][0]
+    assert (report["passes"], report["skips"]) == (0, 1)
+    reason = "no point checked, 8 skipped"
+    assert report["fixtures"] == [
+        {"fixture": "conic", "status": "skip", "reason": reason}
+    ]
 
 
 @pytest.mark.parametrize(
@@ -575,7 +592,12 @@ def test_a_fiber_over_base_parameter_coefficients_is_skipped(
     code, payload = run_json(capsys, "check", "--input", fixture, "--trials", 2)
     assert code == 0
     (surjectivity,) = [s for s in payload["suites"] if s["suite"] == "surjectivity"]
-    assert surjectivity["fixtures"][0]["skipped_points"] == skipped
+    entry = surjectivity["fixtures"][0]
+    if skipped == 2:  # both orders skipped: no point is left to check
+        reason = "no point checked, 2 skipped"
+        assert (entry["status"], entry["reason"]) == ("skip", reason)
+    else:
+        assert (entry["status"], entry["skipped_points"]) == ("pass", skipped)
     point = write_point(tmp_path, {"x": "0", "y": "0"})
     at = ("--order", jet_order, "--input", fixture, "--at", point)
     for command in ("jet", "interpolate"):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CYCLIC5_BASIS_SHA256,
+    TRIANGLE_BASIS_SHA256,
     count_zero_reductions,
     cyclic,
     matrix_product,
@@ -159,6 +162,54 @@ def test_criteria_skip_pairs_that_reduce_to_zero(monkeypatch):
     _set_pair_limit(monkeypatch, 3)
     with pytest.raises(EngineLimitError):
         groebner(gens)
+
+
+def _parabola_triangle():
+    """Criterion 08's parabola triangle at m = 1 over dual (x) product(2):
+    the generators of the iterated map's source, 8 in 16 variables."""
+    plain = RingContext(QQ)
+    e = prolong.standard_operator(prolong.dual_numbers(), plain)
+    f = prolong.standard_operator(prolong.product_algebra(2), plain)
+    ctx = RingContext(QQ, scheme_vars=("x", "y"))
+    parabola = AffineScheme(ctx, [parse_poly("y - x^2", ctx)])
+    imap_e = prolong.interpolation_map(parabola, 1, e)
+    pro = imap_e.prolongation
+    imap_f = prolong.interpolation_map(pro.scheme, 1, f, jet=imap_e.source)
+    return list(imap_f.source.scheme.generators)
+
+
+@pytest.mark.parametrize(
+    "system, reductions, size, digest",
+    [
+        (lambda: cyclic(5), 34, 20, CYCLIC5_BASIS_SHA256),
+        (_parabola_triangle, 95, 56, TRIANGLE_BASIS_SHA256),
+    ],
+    ids=["cyclic-5", "parabola-triangle"],
+)
+def test_rewritten_signatures_are_skipped(
+    monkeypatch, system, reductions, size, digest
+):
+    # a signature is reduced only when one of its pairs multiplies its
+    # rewriter, so cyclic-5 takes 34 J-pair reductions (58 without the
+    # criterion) and the triangle 95 (220); the bases are the recorded ones
+    gens = system()
+    _set_pair_limit(monkeypatch, reductions)
+    basis = groebner(gens).gens
+    text = "\n".join(poly_to_str(g) for g in basis)
+    assert len(basis) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    _set_pair_limit(monkeypatch, reductions - 1)
+    with pytest.raises(EngineLimitError):
+        groebner(gens)
+
+
+def test_a_singular_reduction_leaves_no_signature_uncovered():
+    # the rewriter is the element whose multiple has the least leading
+    # monomial; the latest element as rewriter leaves the signatures above
+    # a singular reduction uncovered, and the basis here came out as (y, t)
+    ctx = RingContext(QQ, base_gens=("t",), scheme_vars=("x", "y"))
+    gens = [parse_poly(t, ctx) for t in ("x*y*t + 1", "t^3 + x*y + t", "y^2")]
+    assert groebner(gens).gens == reference_groebner(gens) == (ctx.one(),)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
@@ -337,6 +388,29 @@ def test_equal_ideals_the_certificate_misses_fall_back(data, ctx):
     assert ideal_member(xg, [g])
     identity, moved = _moved(AffineScheme(ctx, [g]), [xg, ctx.zero()])
     assert identity.equals_mod_ideal(moved)
+
+
+@engine
+@given(st.data(), rings())
+def test_equal_echelon_forms_settle_equality_without_a_basis(data, ctx):
+    # an invertible recombination of a list spans the same K-space, so its
+    # reduced echelon form is the list's: neither the span certificate nor
+    # a basis is needed
+    gens = data.draw(st.lists(polys(ctx), min_size=1, max_size=3))
+    n = len(gens)
+    coeff = st.integers(-3, 3).map(ctx.field.coerce)
+    matrix = [[data.draw(coeff) for _ in range(n)] for _ in range(n)]
+    assume(rank(ExactMatrix(ctx.field, matrix)) == n)
+    mixed = [sum((c * g for c, g in zip(row, gens)), ctx.zero()) for row in matrix]
+
+    def no_basis(*args):
+        raise AssertionError("the equal-echelon certificate did not settle it")
+
+    module = importlib.import_module("prolong.groebner")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "groebner", no_basis)
+        patch.setattr(module, "_in_span", no_basis)
+        assert ideal_equal(gens, mixed) and ideal_equal(mixed, gens)
 
 
 @engine
