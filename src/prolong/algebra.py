@@ -308,6 +308,16 @@ def evaluate_in_algebra(
 # -- builtins -------------------------------------------------------------------
 
 
+def _table(rank: int, cells: Mapping[tuple[int, int], Mapping[int, Fraction]]):
+    """The dense rank x rank x rank structure table whose nonzero constants
+    are the cells ``{(i, j): {k: c_ij^k}}``."""
+    zero = Fraction(0)
+    return [
+        [[cells.get((i, j), {}).get(k, zero) for k in range(rank)] for j in range(rank)]
+        for i in range(rank)
+    ]
+
+
 def trivial_algebra() -> AlgebraScheme:
     return AlgebraScheme(("1",), (((Fraction(1),),),), name="trivial")
 
@@ -338,17 +348,14 @@ def truncated_algebra(nvars: int, order: int) -> AlgebraScheme:
     index = {e: k for k, e in enumerate(exps)}
     names = ["h"] if nvars == 1 else [f"h{i + 1}" for i in range(nvars)]
     labels = [_monomial_label(e, names) for e in exps]
-    rank = len(exps)
-    table = []
-    for a in exps:
-        row = []
-        for b in exps:
-            cell = [Fraction(0)] * rank
-            total = tuple(x + y for x, y in zip(a, b))
-            if sum(total) <= order:
-                cell[index[total]] = Fraction(1)
-            row.append(cell)
-        table.append(row)
+    # e_a * e_b = e_{a+b} while a + b stays within the order, else 0
+    cells = {
+        (i, j): {index[total]: Fraction(1)}
+        for i, a in enumerate(exps)
+        for j, b in enumerate(exps)
+        if (total := tuple(x + y for x, y in zip(a, b))) in index
+    }
+    table = _table(len(exps), cells)
     return AlgebraScheme(labels, table, name=f"truncated({nvars},{order})")
 
 
@@ -367,20 +374,13 @@ def product_algebra(n: int) -> AlgebraScheme:
         raise ValueError("need at least one factor")
     _within_budget(n)
     labels = ["1"] + [f"u{j}" for j in range(1, n)]
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cell = [Fraction(0)] * n
-            if i == 0:
-                cell[j] = Fraction(1)
-            elif j == 0:
-                cell[i] = Fraction(1)
-            elif i == j:
-                cell[i] = Fraction(1)
-            row.append(cell)
-        table.append(row)
-    return AlgebraScheme(labels, table, name=f"product({n})")
+    cells = {
+        (i, j): {max(i, j): Fraction(1)}
+        for i in range(n)
+        for j in range(n)
+        if min(i, j) == 0 or i == j
+    }
+    return AlgebraScheme(labels, _table(n, cells), name=f"product({n})")
 
 
 def dring_algebra(c) -> AlgebraScheme:
@@ -393,6 +393,16 @@ def dring_algebra(c) -> AlgebraScheme:
     return AlgebraScheme(("1", "d"), table, name=f"dring({c})")
 
 
+# each builtin algebra's constructor and the spec fields it reads, in
+# argument order, each with its conversion
+BUILTINS = {
+    "trivial": (trivial_algebra, {}),
+    "truncated": (truncated_algebra, {"vars": int, "order": int}),
+    "product": (product_algebra, {"n": int}),
+    "dring": (dring_algebra, {"c": _fractionize}),
+}
+
+
 def make_builtin(spec) -> AlgebraScheme:
     """Algebra from a JSON-shaped spec dict (see fixture schema)."""
     if isinstance(spec, AlgebraScheme):
@@ -401,15 +411,10 @@ def make_builtin(spec) -> AlgebraScheme:
         raise ValueError(f"cannot read algebra spec {spec!r}")
     if "builtin" in spec:
         kind = spec["builtin"]
-        if kind == "trivial":
-            return trivial_algebra()
-        if kind == "truncated":
-            return truncated_algebra(int(spec["vars"]), int(spec["order"]))
-        if kind == "product":
-            return product_algebra(int(spec["n"]))
-        if kind == "dring":
-            return dring_algebra(spec["c"])
-        raise ValueError(f"unknown builtin algebra {kind!r}")
+        if not isinstance(kind, str) or kind not in BUILTINS:
+            raise ValueError(f"unknown builtin algebra {kind!r}")
+        build, fields = BUILTINS[kind]
+        return build(*(convert(spec[key]) for key, convert in fields.items()))
     if "basis" in spec and "mult" in spec:
         _within_budget(len(spec["basis"]))
         return AlgebraScheme(spec["basis"], spec["mult"], name=spec.get("name", "custom"))
@@ -445,20 +450,15 @@ def tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
     so the flat index of (j, j') is j*rank(F) + j'.  The rank is checked
     against the budget before the table is built."""
     le, lf = e.rank, f.rank
-    rank = le * lf
-    _within_budget(rank, f"tensor rank {le} x {lf}")
-    table = []
-    for i in range(le):
-        for ip in range(lf):
-            row = []
-            for j in range(le):
-                for jp in range(lf):
-                    cell = [Fraction(0)] * rank
-                    for k, c in e.terms[i][j]:
-                        for kp, d in f.terms[ip][jp]:
-                            cell[k * lf + kp] = c * d
-                    row.append(cell)
-            table.append(row)
+    _within_budget(le * lf, f"tensor rank {le} x {lf}")
+    pairs = [(i, ip) for i in range(le) for ip in range(lf)]
+    cells = {
+        (i * lf + ip, j * lf + jp): {
+            k * lf + kp: c * d for k, c in e.terms[i][j] for kp, d in f.terms[ip][jp]
+        }
+        for i, ip in pairs
+        for j, jp in pairs
+    }
     return AlgebraScheme(
-        _tensor_labels(e, f), table, name=f"tensor({e.name},{f.name})"
+        _tensor_labels(e, f), _table(le * lf, cells), name=f"tensor({e.name},{f.name})"
     )

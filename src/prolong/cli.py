@@ -1,8 +1,9 @@
 """Batch front end: one command per construction plus seeded check suites.
 
-Exit codes: 0 pass, 1 fail, 2 usage or unreadable input, 3 inconclusive
-(a Groebner run hit its pair cap, so no verdict either way).  Reports are
-deterministic: identical (fixtures, seed, trials) give byte-identical JSON.
+Exit codes: 0 pass, 1 fail, 2 usage or unreadable input, 3 no verdict:
+inconclusive (a Groebner run hit its pair cap) or, for ``check``, nothing
+checked (every suite skipped every fixture).  Reports are deterministic:
+identical (fixtures, seed, trials) give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -88,11 +89,12 @@ def _render_residuals(err: PointError) -> list:
     return [{"generator": i, "residual": render_value(v)} for i, v in err.residuals]
 
 
-def _matrix_payload(matrix) -> dict:
-    return {
-        "cols": list(matrix.col_labels),
-        "rows": [[str(v) for v in row] for row in matrix.rows],
-    }
+def _matrix_payload(tag: str, matrix, lines: list) -> dict:
+    """A labelled matrix's JSON form; its text goes onto ``lines``."""
+    rows = [[str(v) for v in row] for row in matrix.rows]
+    lines.append(f"{tag} columns: " + ", ".join(matrix.col_labels))
+    lines.extend("[" + ", ".join(row) + "]" for row in rows)
+    return {"cols": list(matrix.col_labels), "rows": rows}
 
 
 def _scheme_report(payload: dict, head: str, scheme: AffineScheme):
@@ -146,11 +148,8 @@ def cmd_jet(args):
     if args.at:
         point = _scalar_point(args.at, fx.scheme)
         fiber = jet_fiber(fx.scheme, args.order, point, jet=jet)
-        payload["fiber"] = _matrix_payload(fiber.matrix)
+        payload["fiber"] = _matrix_payload("fiber", fiber.matrix, lines)
         payload["fiber_dimension"] = fiber.dimension
-        lines.append("fiber columns: " + ", ".join(fiber.columns))
-        for row in payload["fiber"]["rows"]:
-            lines.append("[" + ", ".join(row) + "]")
         lines.append(f"fiber dimension: {fiber.dimension}")
     return code, payload, lines
 
@@ -275,18 +274,13 @@ def cmd_interpolate(args):
             fx.scheme, args.order, operator, point, interpolation=imap
         )
         payload["matrices"] = {
-            "source": _matrix_payload(m_src.matrix),
-            "target": _matrix_payload(m_tgt.matrix),
-            "interpolation": _matrix_payload(phi),
+            tag: _matrix_payload(tag, matrix, lines)
+            for tag, matrix in (
+                ("source", m_src.matrix),
+                ("target", m_tgt.matrix),
+                ("interpolation", phi),
+            )
         }
-        for tag, matrix in (
-            ("source", m_src.matrix),
-            ("target", m_tgt.matrix),
-            ("interpolation", phi),
-        ):
-            lines.append(f"{tag} columns: " + ", ".join(matrix.col_labels))
-            for row in matrix.rows:
-                lines.append("[" + ", ".join(str(v) for v in row) + "]")
     return code, payload, lines
 
 
@@ -316,6 +310,8 @@ class SuiteRun:
             witness = dict(fails[0]["witness"], fixture=fails[0]["fixture"])
         elif self.count("inconclusive"):
             status = "inconclusive"
+        elif not self.count("pass"):
+            status = "skip"
         return {
             "suite": self.suite,
             "seed": self.seed,
@@ -428,6 +424,8 @@ def cmd_check(args):
         status, code = "fail", 1
     elif any(s["inconclusive"] for s in suites):
         status, code = "inconclusive", 3
+    elif all(s["status"] == "skip" for s in suites):
+        status, code = "skip", 3
     else:
         status, code = "pass", 0
     payload = {
@@ -525,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_at_least(0), default=100)
+    p.add_argument("--trials", type=_at_least(1), default=100)
     p.set_defaults(handler=cmd_check)
 
     return parser

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .algebra import make_builtin
+from .algebra import BUILTINS, make_builtin
 from .operators import RingOperator
 from .polynomials import RingContext, parse_poly, substitute
 from .scalars import QQ
@@ -63,13 +63,6 @@ ALGEBRA = Shape(
         "mult": Shape(list, "a list of rows", CELLS),
     },
 )
-# the ALGEBRA fields each builtin needs; a spec without ``builtin`` is custom
-ALGEBRA_NEEDS = {
-    "truncated": ("vars", "order"),
-    "product": ("n",),
-    "dring": ("c",),
-    None: ("basis", "mult"),
-}
 OPERATOR = Shape(
     dict, OBJECT, fields={"images": Shape(dict, OBJECT, Shape(list, "a list", POLY))}
 )
@@ -177,7 +170,10 @@ def _operator(spec: dict, base_ctx: RingContext, where: str, prefix: str = ""):
     per-generator slot vectors of polynomial strings, and generators left
     unlisted map through the unit slot."""
     fields = {k: v for k, v in spec["algebra"].items() if v is not None}
-    for key in ALGEBRA_NEEDS.get(fields.get("builtin"), ()):
+    kind = fields.get("builtin")
+    # a spec without ``builtin`` is a custom table
+    needs = ("basis", "mult") if kind is None else BUILTINS.get(kind, (None, {}))[1]
+    for key in needs:
         _check(fields.get(key), ALGEBRA.fields[key], where, f"{prefix}algebra.{key}")
     with _building(where, f"{prefix}algebra"):
         algebra = make_builtin(fields)

@@ -205,22 +205,21 @@ def check_surjectivity(
 ) -> SurjectivityReport:
     """Whether the interpolated fiber map covers the target jet fiber.
 
-    The point must be smooth: the Jacobian rank at the point has to match
-    the codimension implied by ``expected_dim``, otherwise the check is
-    skipped rather than failed.
+    The point must be certified smooth: the Jacobian rank at the point has
+    to match the codimension implied by ``expected_dim``, and the scheme
+    must have exactly that many generators, so that the rank also equals
+    the generator count.  Otherwise the check is skipped rather than failed.
     """
     if not isinstance(point, SchemePoint):
         point = SchemePoint(scheme, point)
     codim = len(scheme.ctx.scheme_vars) - expected_dim
-    jrank = jacobian_rank(scheme, point)
+    jrank, ngens = jacobian_rank(scheme, point), len(scheme.generators)
     if jrank != codim:
-        return SurjectivityReport(
-            "skip",
-            f"Jacobian rank {jrank} at the point, need {codim} for smoothness",
-            0,
-            0,
-            0,
-        )
+        reason = f"Jacobian rank {jrank} at the point, need {codim} for smoothness"
+        return SurjectivityReport("skip", reason, 0, 0, 0)
+    if ngens != codim:
+        reason = f"smoothness not certified: {ngens} generators for codimension {codim}"
+        return SurjectivityReport("skip", reason, 0, 0, 0)
     m_src, m_tgt, phi = fiber_matrices_at(
         scheme, order, operator, point, interpolation=interpolation
     )

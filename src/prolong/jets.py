@@ -63,7 +63,9 @@ def jet_scheme(scheme: AffineScheme, order: int) -> JetScheme:
 
     Generators come out as the originals first, then one z-linear equation
     per original.  The z names encode the multi-index, so an ambient
-    variable already named like one is rejected by the context.
+    variable already named like one is rejected by the context.  From order
+    2 on this is not the paper's Jet_m, whose fiber (m_p/m_p^{m+1})* is also
+    cut by the jets of the ideal's multiples, such as x*f.
     """
     if scheme.is_algebra_mode:
         raise ValueError("jets start from a plain-mode scheme")
@@ -155,7 +157,8 @@ def jet_fiber(
 
     Point coordinates must be constants; parametrized families should be
     specialized before taking fibers so the matrix lives over the field.
-    A caller that already holds the jet scheme passes it as ``jet``.
+    A caller that already holds the jet scheme passes it as ``jet``.  Above
+    order 1 the fiber is larger than the paper's (see :func:`jet_scheme`).
     """
     if jet is None:
         jet = jet_scheme(scheme, order)

@@ -105,16 +105,15 @@ def functor_laws(fx: Fixture, rng: random.Random, trials: int):
     composites with random self-maps to composites."""
     g, e = fx.morphism, fx.operator
     space, target = g.source, g.target
-    pro_space = prolong(space, e)
-    pro_target = prolong(target, e)
-    jet_space = jet_scheme(space, 1)
-    jet_target = jet_scheme(target, 1)
+    # each lift: the induced-morphism function, its operator or order, and
+    # the lifted space and target, its source_result and target_result
+    lifts = {
+        "prolongation": (prolong_morphism, e, prolong(space, e), prolong(target, e)),
+        "jet": (jet_morphism, 1, jet_scheme(space, 1), jet_scheme(target, 1)),
+    }
     identity = PolyMorphism.identity(space)
-    tau_id = prolong_morphism(
-        identity, e, source_result=pro_space, target_result=pro_space
-    )
-    jet_id = jet_morphism(identity, 1, source_jet=jet_space, target_jet=jet_space)
-    for label, lifted in (("prolongation", tau_id), ("jet", jet_id)):
+    for label, (lift, by, over_space, _) in lifts.items():
+        lifted = lift(identity, by, over_space, over_space)
         bad = _first_difference(lifted, PolyMorphism.identity(lifted.source))
         if bad is not None:
             raise LawViolation(
@@ -124,28 +123,13 @@ def functor_laws(fx: Fixture, rng: random.Random, trials: int):
                     "value": poly_to_str(lifted.assignment[bad]),
                 }
             )
-    tau_g = prolong_morphism(g, e, source_result=pro_space, target_result=pro_target)
-    jet_g = jet_morphism(g, 1, source_jet=jet_space, target_jet=jet_target)
+    lifted_g = {label: lift(g, *rest) for label, (lift, *rest) in lifts.items()}
     for trial in range(trials):
         h = _random_self_map(space, rng)
         composed = g.compose(h)
-        tau_h = prolong_morphism(h, e, source_result=pro_space, target_result=pro_space)
-        jet_h = jet_morphism(h, 1, source_jet=jet_space, target_jet=jet_space)
-        pairs = (
-            (
-                "prolongation",
-                prolong_morphism(
-                    composed, e, source_result=pro_space, target_result=pro_target
-                ),
-                tau_g.compose(tau_h),
-            ),
-            (
-                "jet",
-                jet_morphism(composed, 1, source_jet=jet_space, target_jet=jet_target),
-                jet_g.compose(jet_h),
-            ),
-        )
-        for label, lhs, rhs in pairs:
+        for label, (lift, by, over_space, over_target) in lifts.items():
+            lhs = lift(composed, by, over_space, over_target)
+            rhs = lifted_g[label].compose(lift(h, by, over_space, over_space))
             bad = _first_difference(lhs, rhs)
             if bad is not None:
                 raise LawViolation(

@@ -93,14 +93,6 @@ class Monomial:
         p = self.p - other.p
         return _packed(p, self.deg - other.deg, (p.bit_length() + 31) >> 5)
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        n = max(self.n, other.n)
-        a, b, g = self.p, other.p, _guard(n)
-        wins = ((a | g) - b) & g  # guard bits of the fields where a >= b
-        p = b ^ ((a ^ b) & (wins - (wins >> 31)))
-        small = self.deg + other.deg < _FIELD  # then p % _FIELD sums the fields
-        return _packed(p, p % _FIELD if small else sum(e for _, e in _fields(p)), n)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.p == other.p
 

@@ -98,6 +98,13 @@ def _claimed(
     return result
 
 
+def _slotwise(values) -> dict:
+    """The coordinates ``<name>_<j>``, from slot j of each ``(name, slots)``."""
+    return {
+        f"{name}_{j}": slot for name, slots in values for j, slot in enumerate(slots)
+    }
+
+
 def nabla(
     scheme: AffineScheme,
     operator: RingOperator,
@@ -116,10 +123,9 @@ def nabla(
         point = SchemePoint(scheme, point)
     if point.scheme is not scheme:
         raise ValueError("point lies on a different scheme")
-    assignment = {}
-    for name in scheme.variables:
-        for j, slot in enumerate(result.expand(point.assignment[name]).slots):
-            assignment[f"{name}_{j}"] = slot
+    assignment = _slotwise(
+        (name, result.expand(point.assignment[name]).slots) for name in scheme.variables
+    )
     return SchemePoint(result.scheme, assignment)
 
 
@@ -137,18 +143,20 @@ def prolong_morphism(
     """
     source_result = _claimed(source_result, morphism.source, operator)
     target_result = _claimed(target_result, morphism.target, operator)
-    assignment = {}
-    for name in morphism.target.variables:
-        expanded = source_result.expand(morphism.assignment[name])
-        for j, slot in enumerate(expanded.slots):
-            assignment[f"{name}_{j}"] = slot
+    assignment = _slotwise(
+        (name, source_result.expand(morphism.assignment[name]).slots)
+        for name in morphism.target.variables
+    )
     return PolyMorphism(source_result.scheme, target_result.scheme, assignment)
 
 
-def _rows_times(matrix: list[list[Fraction]], vector) -> list[Fraction]:
+def _mapped(rows: list[list[Fraction]], slots, ctx: RingContext) -> list[MultiPoly]:
+    """A slot vector of polynomials through the algebra map ``rows``: slot
+    j' of the image sums rows[j'][j] * slots[j] over the nonzero entries."""
+    scaled = ctx.field.from_fraction
     return [
-        sum((row[j] * Fraction(v) for j, v in enumerate(vector)), Fraction(0))
-        for row in matrix
+        sum((s.scale(scaled(c)) for c, s in zip(row, slots) if c), ctx.zero())
+        for row in rows
     ]
 
 
@@ -178,26 +186,23 @@ def validate_algebra_map(
     columns = [[rows[jp][j] for jp in range(fa.rank)] for j in range(ea.rank)]
     for i in range(ea.rank):
         for j in range(ea.rank):
-            left = _rows_times(rows, ea.table[i][j])
+            left = [
+                sum((c * columns[k][jp] for k, c in ea.terms[i][j]), Fraction(0))
+                for jp in range(fa.rank)
+            ]
             right = [Fraction(v) for v in fa.multiply_vectors(columns[i], columns[j])]
             if left != right:
                 raise AlgebraMapError(
                     f"not multiplicative at (e_{i}, e_{j}): "
                     f"image of product is {left}, product of images is {right}"
                 )
-    field = e.ctx.field
     for g in e.ctx.base_gens:
-        slots = e.images[g].slots
-        for jp in range(fa.rank):
-            combo = e.ctx.zero()
-            for j in range(ea.rank):
-                if rows[jp][j]:
-                    combo = combo + slots[j].scale(field.from_fraction(rows[jp][j]))
-            if combo != f.images[g].slots[jp]:
+        mapped = _mapped(rows, e.images[g].slots, e.ctx)
+        for jp, (combo, want) in enumerate(zip(mapped, f.images[g].slots)):
+            if combo != want:
                 raise AlgebraMapError(
                     f"operators are not intertwined at generator {g!r}, "
-                    f"slot {jp}: mapped image is {combo}, "
-                    f"expected {f.images[g].slots[jp]}"
+                    f"slot {jp}: mapped image is {combo}, expected {want}"
                 )
     return rows
 
@@ -221,18 +226,11 @@ def compare_map(
     rows = validate_algebra_map(alpha, e, f)
     source_result = _claimed(source_result, scheme, e)
     target_result = _claimed(target_result, scheme, f)
-    ctx = source_result.ctx
-    field = ctx.field
-    assignment = {}
-    for name in scheme.variables:
-        for jp in range(f.algebra.rank):
-            acc = ctx.zero()
-            for j in range(e.algebra.rank):
-                if rows[jp][j]:
-                    acc = acc + ctx.var(f"{name}_{j}").scale(
-                        field.from_fraction(rows[jp][j])
-                    )
-            assignment[f"{name}_{jp}"] = acc
+    ctx, rank = source_result.ctx, e.algebra.rank
+    assignment = _slotwise(
+        (name, _mapped(rows, [ctx.var(f"{name}_{j}") for j in range(rank)], ctx))
+        for name in scheme.variables
+    )
     return PolyMorphism(source_result.scheme, target_result.scheme, assignment)
 
 

@@ -9,7 +9,7 @@ code with the package.
 from fractions import Fraction
 from math import factorial, lcm
 
-from prolong.algebra import AlgebraElement
+from prolong.algebra import AlgebraElement, AlgebraScheme
 from prolong.jets import z_name
 from prolong.polynomials import (
     MONOMIAL_ONE,
@@ -92,6 +92,11 @@ class ReferenceMonomial:
         return hash(self.exps)
 
 
+def reference_lcm(a: Monomial, b: Monomial) -> Monomial:
+    """lcm of two package monomials through :class:`ReferenceMonomial`."""
+    return Monomial(ReferenceMonomial(a.exps).lcm(ReferenceMonomial(b.exps)).exps)
+
+
 def reference_compositions(total: int, slots: int) -> list:
     """Length-``slots`` tuples summing to ``total`` in descending
     lexicographic order, by recursion on the first slot."""
@@ -143,7 +148,7 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: str = "grevlex") -> MultiPol
     lcm with coefficient one, then subtracted."""
     key = MONOMIAL_ORDERS[order]
     fm, gm = f.leading_monomial(key), g.leading_monomial(key)
-    lcm = fm.lcm(gm)
+    lcm = reference_lcm(fm, gm)
     field = f.ctx.field
     left = MultiPoly(f.ctx, {lcm.divide(fm): field.inv(f.coeffs[fm])}) * f
     right = MultiPoly(g.ctx, {lcm.divide(gm): field.inv(g.coeffs[gm])}) * g
@@ -331,7 +336,7 @@ def reference_groebner(gens, order: str = "grevlex") -> tuple:
         return poly.scale(poly.ctx.field.inv(poly.coeffs[lead(poly)]))
 
     def lcm_degree(pair):
-        return lead(basis[pair[0]]).lcm(lead(basis[pair[1]])).degree(), pair
+        return reference_lcm(lead(basis[pair[0]]), lead(basis[pair[1]])).degree(), pair
 
     basis = [monic(g) for g in gens if not g.is_zero()]
     if not basis:
@@ -344,7 +349,7 @@ def reference_groebner(gens, order: str = "grevlex") -> tuple:
         fm, gm = lead(basis[i]), lead(basis[j])
         if not set(fm.indices()) & set(gm.indices()):
             continue
-        lcm = fm.lcm(gm)
+        lcm = reference_lcm(fm, gm)
         one = ctx.field.one
         s = MultiPoly(ctx, {lcm.divide(fm): one}) * basis[i]
         s = s - MultiPoly(ctx, {lcm.divide(gm): one}) * basis[j]
@@ -367,6 +372,76 @@ def reference_groebner(gens, order: str = "grevlex") -> tuple:
     ]
     nvars = ctx.nvars
     return tuple(sorted(reduced, key=lambda g: key(lead(g), nvars), reverse=True))
+
+
+def _reference_label(exp, names) -> str:
+    parts = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exp) if e]
+    return "*".join(parts) or "1"
+
+
+def reference_truncated_algebra(nvars: int, order: int) -> AlgebraScheme:
+    """``truncated_algebra`` built densely: every cell of every row is a
+    fresh list of zeros, with a one at the exponent sum if it is in range."""
+    exps = [e for d in range(order + 1) for e in reference_compositions(d, nvars)]
+    names = ["h"] if nvars == 1 else [f"h{i + 1}" for i in range(nvars)]
+    rank = len(exps)
+    table = []
+    for a in exps:
+        row = []
+        for b in exps:
+            cell = [Fraction(0)] * rank
+            total = tuple(x + y for x, y in zip(a, b))
+            if sum(total) <= order:
+                cell[exps.index(total)] = Fraction(1)
+            row.append(cell)
+        table.append(row)
+    labels = [_reference_label(e, names) for e in exps]
+    return AlgebraScheme(labels, table, name=f"truncated({nvars},{order})")
+
+
+def reference_product_algebra(n: int) -> AlgebraScheme:
+    """``product_algebra`` built densely, case by case."""
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            cell = [Fraction(0)] * n
+            if i == 0:
+                cell[j] = Fraction(1)
+            elif j == 0:
+                cell[i] = Fraction(1)
+            elif i == j:
+                cell[i] = Fraction(1)
+            row.append(cell)
+        table.append(row)
+    labels = ["1"] + [f"u{j}" for j in range(1, n)]
+    return AlgebraScheme(labels, table, name=f"product({n})")
+
+
+def reference_tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
+    """``tensor`` built densely from the factors' full tables."""
+    le, lf = e.rank, f.rank
+    rank = le * lf
+    table = []
+    for i in range(le):
+        for ip in range(lf):
+            row = []
+            for j in range(le):
+                for jp in range(lf):
+                    cell = [Fraction(0)] * rank
+                    for k in range(le):
+                        for kp in range(lf):
+                            cell[k * lf + kp] = e.table[i][j][k] * f.table[ip][jp][kp]
+                    row.append(cell)
+            table.append(row)
+    left, right = list(e.labels), list(f.labels)
+    if {a for a in left if a != "1"} & {b for b in right if b != "1"}:
+        left = [a if a == "1" else f"{a}1" for a in left]
+        right = [b if b == "1" else f"{b}2" for b in right]
+    labels = [
+        "*".join(x for x in (a, b) if x != "1") or "1" for a in left for b in right
+    ]
+    return AlgebraScheme(labels, table, name=f"tensor({e.name},{f.name})")
 
 
 def reference_algebra_violation(table):

@@ -10,6 +10,9 @@ from helpers import (
     reference_algebra_violation,
     reference_basis_power_expansion,
     reference_evaluate_in_algebra,
+    reference_product_algebra,
+    reference_tensor,
+    reference_truncated_algebra,
     tensor_swap_permutation,
 )
 from prolong.scalars import GF, QQ
@@ -190,6 +193,31 @@ def test_algebra_rank_budget_is_checked_before_the_table():
         budget = f"budget {ALGEBRA_RANK_BUDGET}$"
         with pytest.raises(AlgebraValidationError, match=budget):
             make_builtin(spec)
+
+
+small_builtins = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(0, 3)).map(
+        lambda nm: (truncated_algebra(*nm), reference_truncated_algebra(*nm))
+    ),
+    st.integers(1, 6).map(lambda n: (product_algebra(n), reference_product_algebra(n))),
+)
+
+
+def _same_algebra(built: AlgebraScheme, reference: AlgebraScheme) -> bool:
+    return (built.table, built.labels, built.name) == (
+        reference.table,
+        reference.labels,
+        reference.name,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_builtins, small_builtins)
+def test_sparse_tables_match_the_dense_references(left, right):
+    (e, e_ref), (f, f_ref) = left, right
+    assert _same_algebra(e, e_ref) and _same_algebra(f, f_ref)
+    if e.rank * f.rank <= ALGEBRA_RANK_BUDGET:
+        assert _same_algebra(tensor(e, f), reference_tensor(e, f))
 
 
 def test_make_builtin():

@@ -541,7 +541,9 @@ def test_singular_points_are_skipped_not_failed(capsys, tmp_path):
     code, payload = run_json(
         capsys, "check", "--suite", "surjectivity", "--input", node, "--trials", 1
     )
-    assert code == 0
+    # nothing was checked, so neither the suite nor the run is a pass
+    assert code == 3
+    assert payload["status"] == payload["suites"][0]["status"] == "skip"
     entry = payload["suites"][0]["fixtures"][0]
     # no point is left to check, so the fixture is a skip, not an empty pass
     assert entry == {
@@ -551,14 +553,57 @@ def test_singular_points_are_skipped_not_failed(capsys, tmp_path):
     }
 
 
+def _cusp_fixture(tmp_path):
+    """V(z(x^2 - y^3), z^2 - z) with dim 2: the plane z = 0 and, at z = 1,
+    a cusp.  At the cusp (0, 0, 1) the Jacobian rank is 1, the codimension,
+    though the point is singular; two generators for codimension 1 leave
+    that rank no proof of smoothness."""
+    target = tmp_path / "cusp.json"
+    cusp = {
+        "name": "cusp",
+        "vars": ["x", "y", "z"],
+        "ideal": ["z*(x^2 - y^3)", "z^2 - z"],
+        "algebra": {"builtin": "truncated", "vars": 1, "order": 1},
+        "second": {"algebra": {"builtin": "truncated", "vars": 1, "order": 2}},
+        "points": [{"x": "0", "y": "0", "z": "1"}, {"x": "2", "y": "1", "z": "0"}],
+        "dim": 2,
+    }
+    target.write_text(json.dumps(cusp))
+    return target
+
+
+def test_a_point_whose_smoothness_is_not_certified_is_skipped(capsys, tmp_path):
+    cusp = _cusp_fixture(tmp_path)
+    code, payload = run_json(
+        capsys, "check", "--suite", "surjectivity", "--input", cusp, "--trials", 2
+    )
+    assert code == 3
+    (report,) = payload["suites"]
+    assert report["status"] == "skip"
+    reason = "no point checked, 8 skipped"
+    assert report["fixtures"] == [{"fixture": "cusp", "status": "skip", "reason": reason}]
+
+
+def test_interpolate_prints_the_uncertified_smoothness_skip(capsys, tmp_path):
+    cusp = _cusp_fixture(tmp_path)
+    point = write_point(tmp_path, {"x": "0", "y": "0", "z": "1"})
+    args = ("interpolate", "--order", 2, "--input", cusp, "--at", point)
+    code, out = run_cli(capsys, *args, "--check-surjectivity", "--dim", 2)
+    assert code == 0
+    reason = "smoothness not certified: 2 generators for codimension 1"
+    assert f"surjectivity: SKIP {reason}" in out.splitlines()
+
+
 def test_a_dim_that_leaves_no_point_to_check_is_a_skip(capsys, tmp_path):
     # every point of the conic is a Jacobian-rank skip under dim 2
     target = _edited_fixture(tmp_path, "conic", dim=2)
     code, payload = run_json(
         capsys, "check", "--suite", "surjectivity", "--input", target, "--trials", 2
     )
-    assert code == 0
+    assert code == 3
+    assert payload["status"] == "skip"
     report = payload["suites"][0]
+    assert report["status"] == "skip"
     assert (report["passes"], report["skips"]) == (0, 1)
     reason = "no point checked, 8 skipped"
     assert report["fixtures"] == [
@@ -1152,8 +1197,9 @@ def test_a_bad_alpha_fails_both_of_its_suites_and_keeps_every_report(capsys, tmp
         ("jet", "--order", 0, "--input", FIXTURES / "conic.json"),
         ("interpolate", "--order", -1, "--input", FIXTURES / "conic.json"),
         ("check", "--trials", -1, "--input", FIXTURES / "conic.json"),
+        ("check", "--trials", 0, "--input", FIXTURES / "conic.json"),
     ],
-    ids=["order-zero", "order-negative", "trials-negative"],
+    ids=["order-zero", "order-negative", "trials-negative", "trials-zero"],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, args):
     assert main([str(a) for a in args]) == 2
