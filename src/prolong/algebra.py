@@ -1,12 +1,14 @@
 """Finite free algebra schemes presented by structure constants.
 
 An :class:`AlgebraScheme` of rank ``l`` is the data of basis labels
-``e_0, ..., e_{l-1}`` and a multiplication table ``c[i][j][k]`` with
-``e_i * e_j = sum_k c[i][j][k] e_k``.  The unit is always ``e_0``; tables are
+``e_0, ..., e_{l-1}`` and structure constants ``c_ij^k`` with
+``e_i * e_j = sum_k c_ij^k e_k``, kept only as the nonzero cells
+``{(i, j): {k: c_ij^k}}``.  The unit is always ``e_0``; the constants are
 validated for the unit law, commutativity, and associativity on construction.
 Structure constants are rationals and are coerced into the working field at
 the point of use, so one algebra value serves every coefficient field whose
-characteristic does not divide a denominator.
+characteristic does not divide a denominator.  The one dense form is a custom
+spec's ``mult`` table, read by :func:`make_builtin`.
 
 Builtins cover truncated polynomial algebras (jets of order n), finite
 products of the base (difference/period structures), and the one-parameter
@@ -22,7 +24,7 @@ from typing import Mapping, Sequence
 from .polynomials import MONOMIAL_ONE, MultiPoly, RingContext, exponents_up_to
 
 
-# largest rank an algebra spec may ask for, checked before its table is built
+# largest rank an algebra spec may ask for, checked before its constants are built
 ALGEBRA_RANK_BUDGET = 48
 
 
@@ -33,6 +35,12 @@ class AlgebraValidationError(ValueError):
 def _within_budget(rank: int, what: str = "rank") -> None:
     if rank > ALGEBRA_RANK_BUDGET:
         raise AlgebraValidationError(f"{what} over the budget {ALGEBRA_RANK_BUDGET}")
+
+
+def _rank(labels: Sequence) -> int:
+    if len(labels) < 1:
+        raise AlgebraValidationError("rank must be at least 1")
+    return len(labels)
 
 
 def _fractionize(value) -> Fraction:
@@ -48,33 +56,24 @@ def _fractionize(value) -> Fraction:
 class AlgebraScheme:
     """Finite free algebra scheme with a fixed unit-first basis."""
 
-    __slots__ = ("rank", "labels", "table", "name", "terms")
+    __slots__ = ("rank", "labels", "name", "terms")
 
     def __init__(
         self,
         labels: Sequence[str],
-        table: Sequence[Sequence[Sequence[object]]],
+        cells: Mapping[tuple[int, int], Mapping[int, Fraction]],
         name: str = "custom",
     ):
-        rank = len(labels)
-        if rank < 1:
-            raise AlgebraValidationError("rank must be at least 1")
-        tab = tuple(
-            tuple(tuple(_fractionize(v) for v in cell) for cell in row)
-            for row in table
-        )
-        if len(tab) != rank or any(
-            len(row) != rank or any(len(cell) != rank for cell in row) for row in tab
-        ):
-            raise AlgebraValidationError("structure table is not rank x rank x rank")
-        self.rank = rank
+        self.rank = rank = _rank(labels)
         self.labels = tuple(str(s) for s in labels)
-        self.table = tab
         self.name = name
-        # nonzero (k, c_ij^k) entries of each cell; the table is immutable
+        # nonzero (k, c_ij^k) entries of each cell, sorted by k
         self.terms = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
-            for row in tab
+            tuple(
+                tuple(sorted((k, c) for k, c in cells.get((i, j), {}).items() if c))
+                for j in range(rank)
+            )
+            for i in range(rank)
         )
         self._validate()
 
@@ -82,16 +81,17 @@ class AlgebraScheme:
         """Unit law, commutativity and associativity over the sparse terms.
         By commutativity (i, j, m) fails exactly when (m, j, i) does and
         (i, j, i) never fails, so only triples with 0 < i < m are checked."""
-        rank, tab, terms = self.rank, self.table, self.terms
+        rank, terms = self.rank, self.terms
         for j in range(rank):
             if terms[0][j] == terms[j][0] == ((j, 1),):
                 continue
             for k in range(rank):
                 for a, b in ((0, j), (j, 0)):
-                    if tab[a][b][k] != int(j == k):
+                    c = dict(terms[a][b]).get(k, Fraction(0))
+                    if c != int(j == k):
                         raise AlgebraValidationError(
                             f"unit law violated: e_{a}*e_{b} has coefficient"
-                            f" {tab[a][b][k]} on e_{k}"
+                            f" {c} on e_{k}"
                         )
         for i in range(rank):
             for j in range(i):
@@ -120,17 +120,17 @@ class AlgebraScheme:
         return (
             isinstance(other, AlgebraScheme)
             and self.labels == other.labels
-            and self.table == other.table
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.table))
+        return hash((self.labels, self.terms))
 
     def __repr__(self) -> str:
         return f"AlgebraScheme({self.name!r}, rank={self.rank})"
 
     def multiply_vectors(self, a: Sequence[Fraction], b: Sequence[Fraction]):
-        """Rational coefficient vectors multiplied through the table."""
+        """Rational coefficient vectors multiplied through the constants."""
         out = [Fraction(0)] * self.rank
         for i, ai in enumerate(a):
             if not ai:
@@ -308,18 +308,8 @@ def evaluate_in_algebra(
 # -- builtins -------------------------------------------------------------------
 
 
-def _table(rank: int, cells: Mapping[tuple[int, int], Mapping[int, Fraction]]):
-    """The dense rank x rank x rank structure table whose nonzero constants
-    are the cells ``{(i, j): {k: c_ij^k}}``."""
-    zero = Fraction(0)
-    return [
-        [[cells.get((i, j), {}).get(k, zero) for k in range(rank)] for j in range(rank)]
-        for i in range(rank)
-    ]
-
-
 def trivial_algebra() -> AlgebraScheme:
-    return AlgebraScheme(("1",), (((Fraction(1),),),), name="trivial")
+    return AlgebraScheme(("1",), {(0, 0): {0: Fraction(1)}}, name="trivial")
 
 
 def _monomial_label(exp: tuple[int, ...], names: Sequence[str]) -> str:
@@ -355,8 +345,7 @@ def truncated_algebra(nvars: int, order: int) -> AlgebraScheme:
         for j, b in enumerate(exps)
         if (total := tuple(x + y for x, y in zip(a, b))) in index
     }
-    table = _table(len(exps), cells)
-    return AlgebraScheme(labels, table, name=f"truncated({nvars},{order})")
+    return AlgebraScheme(labels, cells, name=f"truncated({nvars},{order})")
 
 
 def dual_numbers() -> AlgebraScheme:
@@ -380,17 +369,15 @@ def product_algebra(n: int) -> AlgebraScheme:
         for j in range(n)
         if min(i, j) == 0 or i == j
     }
-    return AlgebraScheme(labels, _table(n, cells), name=f"product({n})")
+    return AlgebraScheme(labels, cells, name=f"product({n})")
 
 
 def dring_algebra(c) -> AlgebraScheme:
     """Rank-2 algebra with e_1^2 = c*e_1; c = 0 gives the dual numbers."""
     c = _fractionize(c)
-    table = (
-        ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-        ((Fraction(0), Fraction(1)), (Fraction(0), c)),
-    )
-    return AlgebraScheme(("1", "d"), table, name=f"dring({c})")
+    one = Fraction(1)
+    cells = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {1: c}}
+    return AlgebraScheme(("1", "d"), cells, name=f"dring({c})")
 
 
 # each builtin algebra's constructor and the spec fields it reads, in
@@ -416,8 +403,20 @@ def make_builtin(spec) -> AlgebraScheme:
         build, fields = BUILTINS[kind]
         return build(*(convert(spec[key]) for key, convert in fields.items()))
     if "basis" in spec and "mult" in spec:
-        _within_budget(len(spec["basis"]))
-        return AlgebraScheme(spec["basis"], spec["mult"], name=spec.get("name", "custom"))
+        labels = spec["basis"]
+        _within_budget(len(labels))
+        rank = _rank(labels)
+        mult = [[list(map(_fractionize, cell)) for cell in row] for row in spec["mult"]]
+        if len(mult) != rank or any(
+            len(row) != rank or any(len(cell) != rank for cell in row) for row in mult
+        ):
+            raise AlgebraValidationError("structure table is not rank x rank x rank")
+        cells = {
+            (i, j): {k: c for k, c in enumerate(cell) if c}
+            for i, row in enumerate(mult)
+            for j, cell in enumerate(row)
+        }
+        return AlgebraScheme(labels, cells, name=spec.get("name", "custom"))
     raise ValueError("algebra spec needs either 'builtin' or 'basis'+'mult'")
 
 
@@ -448,7 +447,7 @@ def _tensor_labels(e: AlgebraScheme, f: AlgebraScheme) -> list[str]:
 def tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
     """Tensor product with basis e_j (x) f_j' ordered (j, j')-lexicographically,
     so the flat index of (j, j') is j*rank(F) + j'.  The rank is checked
-    against the budget before the table is built."""
+    against the budget before the constants are built."""
     le, lf = e.rank, f.rank
     _within_budget(le * lf, f"tensor rank {le} x {lf}")
     pairs = [(i, ip) for i in range(le) for ip in range(lf)]
@@ -459,6 +458,4 @@ def tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
         for i, ip in pairs
         for j, jp in pairs
     }
-    return AlgebraScheme(
-        _tensor_labels(e, f), _table(le * lf, cells), name=f"tensor({e.name},{f.name})"
-    )
+    return AlgebraScheme(_tensor_labels(e, f), cells, name=f"tensor({e.name},{f.name})")

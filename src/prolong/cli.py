@@ -13,6 +13,7 @@ import json
 import random
 import zlib
 from dataclasses import dataclass, field
+from math import comb
 from pathlib import Path
 
 from . import laws
@@ -47,8 +48,27 @@ from .weil import (
 )
 
 
+# most jet coordinates, C(N + m, m) - 1 for N variables at order m, that `jet`
+# (N = n variables) and `interpolate` (N = n * rank, the restriction it jets) build
+JET_COORDINATE_BUDGET = 5004
+
+
 class UsageError(ValueError):
     pass
+
+
+def _within_jet_budget(order: int, nvars: int) -> None:
+    """Refuse ``--order`` before any jet is built when it gives ``nvars``
+    variables more jet coordinates than the budget.  The count grows with
+    both and is over the budget once either is, so it is taken on capped
+    arguments and stays cheap."""
+    cap = JET_COORDINATE_BUDGET + 1
+    m = min(order, cap)
+    if comb(min(nvars, cap) + m, m) - 1 > JET_COORDINATE_BUDGET:
+        raise UsageError(
+            f"--order {order} on {nvars} variables is over the budget of"
+            f" {JET_COORDINATE_BUDGET} jet coordinates"
+        )
 
 
 def _single_fixture(path_text: str, plain: bool = True) -> Fixture:
@@ -142,6 +162,7 @@ def cmd_prolong(args):
 
 def cmd_jet(args):
     fx = _single_fixture(args.input)
+    _within_jet_budget(args.order, len(fx.scheme.variables))
     jet = jet_scheme(fx.scheme, args.order)
     payload = {"command": "jet", "order": args.order}
     code, payload, lines = _scheme_report(payload, f"order: {args.order}", jet.scheme)
@@ -230,6 +251,7 @@ def cmd_compare(args):
 def cmd_interpolate(args):
     fx = _single_fixture(args.input)
     operator = _need(fx, "operator", "operator")
+    _within_jet_budget(args.order, len(fx.scheme.variables) * operator.algebra.rank)
     imap = interpolation_map(fx.scheme, args.order, operator)
     assignment = laws.assignment_strings(imap)
     payload = {

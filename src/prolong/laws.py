@@ -271,11 +271,17 @@ def hasse_axioms(fx: Fixture, rng: random.Random, trials: int):
     """The operator's slot maps satisfy the fixture's law tag ("hasse" or
     "dring") exactly when the fixture expects them to."""
     family = OperatorFamily(fx.operator)
-    ctx = fx.operator.ctx
+    ctx, algebra = fx.operator.ctx, fx.operator.algebra
     if fx.law == "hasse":
         result = check_hasse_axioms(family.maps, ctx, trials=trials, seed=rng)
     elif fx.law == "dring":
-        c = fx.operator.algebra.table[1][1][1]
+        square = dict(algebra.terms[1][1]) if algebra.rank == 2 else None
+        if square is None or 0 in square:
+            raise NotApplicable(
+                f"the dring law needs a rank-2 algebra with e_1*e_1 = c*e_1,"
+                f" not {algebra.name}"
+            )
+        c = square.get(1, Fraction(0))
         result = check_dring_law(family.maps[1], c, ctx, trials=trials, seed=rng)
     else:
         raise NotApplicable(f"unknown law tag {fx.law!r}")

@@ -58,7 +58,6 @@ class ComposedProlongation(Prolongation):
     under which the two generator ideals agree.
     """
 
-    factors: tuple[RingOperator, RingOperator]
     renaming: Mapping[str, str]
 
 
@@ -258,4 +257,4 @@ def prolong_composed(
     _, ef = compose_operators(e, f)
     renaming = composed_renaming(scheme, e, f)
     base = vars(prolong(scheme, ef))
-    return ComposedProlongation(**base, factors=(e, f), renaming=renaming)
+    return ComposedProlongation(**base, renaming=renaming)

@@ -9,7 +9,7 @@ code with the package.
 from fractions import Fraction
 from math import factorial, lcm
 
-from prolong.algebra import AlgebraElement, AlgebraScheme
+from prolong.algebra import AlgebraElement, AlgebraScheme, make_builtin
 from prolong.jets import z_name
 from prolong.polynomials import (
     MONOMIAL_ONE,
@@ -379,6 +379,27 @@ def _reference_label(exp, names) -> str:
     return "*".join(parts) or "1"
 
 
+def dense_table(algebra: AlgebraScheme) -> list:
+    """The rank x rank x rank table of ``algebra``'s structure constants,
+    zeros included, read cell by cell from its nonzero terms."""
+    rank = algebra.rank
+    table = []
+    for row in algebra.terms:
+        dense_row = []
+        for cell in row:
+            dense_cell = [Fraction(0)] * rank
+            for k, c in cell:
+                dense_cell[k] = c
+            dense_row.append(dense_cell)
+        table.append(dense_row)
+    return table
+
+
+def dense_algebra(labels, table, name: str = "custom") -> AlgebraScheme:
+    """The algebra of a dense table, read as a custom ``mult`` spec."""
+    return make_builtin({"basis": list(labels), "mult": table, "name": name})
+
+
 def reference_truncated_algebra(nvars: int, order: int) -> AlgebraScheme:
     """``truncated_algebra`` built densely: every cell of every row is a
     fresh list of zeros, with a one at the exponent sum if it is in range."""
@@ -396,7 +417,7 @@ def reference_truncated_algebra(nvars: int, order: int) -> AlgebraScheme:
             row.append(cell)
         table.append(row)
     labels = [_reference_label(e, names) for e in exps]
-    return AlgebraScheme(labels, table, name=f"truncated({nvars},{order})")
+    return dense_algebra(labels, table, f"truncated({nvars},{order})")
 
 
 def reference_product_algebra(n: int) -> AlgebraScheme:
@@ -415,13 +436,14 @@ def reference_product_algebra(n: int) -> AlgebraScheme:
             row.append(cell)
         table.append(row)
     labels = ["1"] + [f"u{j}" for j in range(1, n)]
-    return AlgebraScheme(labels, table, name=f"product({n})")
+    return dense_algebra(labels, table, f"product({n})")
 
 
 def reference_tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
     """``tensor`` built densely from the factors' full tables."""
     le, lf = e.rank, f.rank
     rank = le * lf
+    e_table, f_table = dense_table(e), dense_table(f)
     table = []
     for i in range(le):
         for ip in range(lf):
@@ -431,7 +453,7 @@ def reference_tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
                     cell = [Fraction(0)] * rank
                     for k in range(le):
                         for kp in range(lf):
-                            cell[k * lf + kp] = e.table[i][j][k] * f.table[ip][jp][kp]
+                            cell[k * lf + kp] = e_table[i][j][k] * f_table[ip][jp][kp]
                     row.append(cell)
             table.append(row)
     left, right = list(e.labels), list(f.labels)
@@ -441,7 +463,7 @@ def reference_tensor(e: AlgebraScheme, f: AlgebraScheme) -> AlgebraScheme:
     labels = [
         "*".join(x for x in (a, b) if x != "1") or "1" for a in left for b in right
     ]
-    return AlgebraScheme(labels, table, name=f"tensor({e.name},{f.name})")
+    return dense_algebra(labels, table, f"tensor({e.name},{f.name})")
 
 
 def reference_algebra_violation(table):
@@ -500,9 +522,8 @@ def reference_algebra_mul(x, y):
             if b.is_zero():
                 continue
             ab = a * b
-            for k, c in enumerate(algebra.table[i][j]):
-                if c:
-                    out[k] = out[k] + ab.scale(ctx.field.from_fraction(c))
+            for k, c in algebra.terms[i][j]:
+                out[k] = out[k] + ab.scale(ctx.field.from_fraction(c))
     return algebra.element(ctx, out)
 
 
@@ -560,11 +581,12 @@ def reference_basis_power_expansion(algebra, gamma) -> tuple:
         raise ValueError("exponent vector length does not match rank")
     if any(g < 0 for g in gamma):
         raise ValueError("negative exponent")
+    table = dense_table(algebra)
     vec = [Fraction(1)] + [Fraction(0)] * (rank - 1)
     for j, g in enumerate(gamma):
         for _ in range(g):
             vec = [
-                sum(vec[i] * algebra.table[i][j][k] for i in range(rank))
+                sum(vec[i] * table[i][j][k] for i in range(rank))
                 for k in range(rank)
             ]
     return tuple(vec)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_algebra,
+    dense_table,
     reference_algebra_mul,
     reference_algebra_violation,
     reference_basis_power_expansion,
@@ -50,10 +52,11 @@ def test_truncated_basis_order():
     two = truncated_algebra(2, 2)
     assert two.labels == ("1", "h1", "h2", "h1^2", "h1*h2", "h2^2")
     assert two.name == "truncated(2,2)"
+    table = dense_table(two)
     # h1 * h2 lands on the h1*h2 slot
-    assert two.table[1][2][4] == 1 and sum(two.table[1][2]) == 1
+    assert table[1][2][4] == 1 and sum(table[1][2]) == 1
     # truncation: h1^2 * h2 = 0
-    assert all(v == 0 for v in two.table[3][2])
+    assert all(v == 0 for v in table[3][2])
 
 
 def test_dual_numbers_square_to_zero():
@@ -84,7 +87,7 @@ def test_product_algebra():
 def test_dring():
     d0 = dring_algebra(0)
     assert d0.labels == ("1", "d")
-    assert d0.table[1][1] == (Fraction(0), Fraction(0))
+    assert dense_table(d0)[1][1] == [Fraction(0), Fraction(0)]
     d1 = dring_algebra(1)
     ctx = RingContext(QQ, scheme_vars=("x",))
     e = d1.element(ctx, [0, 1])
@@ -96,33 +99,33 @@ def test_dring():
 
 
 def test_custom_algebra_and_validation():
-    gauss = AlgebraScheme(GAUSS["basis"], GAUSS["mult"])
+    gauss = make_builtin(GAUSS)
     ctx = RingContext(QQ, scheme_vars=("x",))
     i = gauss.element(ctx, [0, 1])
     assert (i * i).slots[0] == ctx.const(-1)
     bad_unit = [[[0, 1], [0, 1]], [[0, 1], [-1, 0]]]
     with pytest.raises(AlgebraValidationError, match="unit law.*e_0\\*e_0"):
-        AlgebraScheme(["1", "e"], bad_unit)
+        dense_algebra(["1", "e"], bad_unit)
     bad_comm = [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
         [[0, 0, 1], [1, 0, 0], [0, 0, 0]],
     ]
     with pytest.raises(AlgebraValidationError, match="commutativity.*e_2, e_1"):
-        AlgebraScheme(["1", "a", "b"], bad_comm)
+        dense_algebra(["1", "a", "b"], bad_comm)
     bad_assoc = [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
         [[0, 0, 1], [1, 0, 0], [0, 0, 1]],
     ]
     with pytest.raises(AlgebraValidationError, match="associativity"):
-        AlgebraScheme(["1", "a", "b"], bad_assoc)
+        dense_algebra(["1", "a", "b"], bad_assoc)
 
 
 def _violation(table):
-    """The message AlgebraScheme raises for ``table``, or None."""
+    """The message reading ``table`` as a custom spec raises, or None."""
     try:
-        AlgebraScheme([f"e{i}" for i in range(len(table))], table)
+        dense_algebra([f"e{i}" for i in range(len(table))], table)
     except AlgebraValidationError as err:
         return str(err)
     return None
@@ -148,7 +151,7 @@ def test_sparse_validation_matches_the_dense_oracle_on_perturbed_tables(data):
     # mirror moved together so that commutativity survives
     algebra = data.draw(st.sampled_from(VALID_TABLES))
     rank = algebra.rank
-    table = [[list(cell) for cell in row] for row in algebra.table]
+    table = dense_table(algebra)
     i, j, k = (data.draw(st.integers(0, rank - 1)) for _ in range(3))
     nudge = data.draw(NUDGES)
     table[i][j][k] += nudge
@@ -204,8 +207,8 @@ small_builtins = st.one_of(
 
 
 def _same_algebra(built: AlgebraScheme, reference: AlgebraScheme) -> bool:
-    return (built.table, built.labels, built.name) == (
-        reference.table,
+    return (dense_table(built), built.labels, built.name) == (
+        dense_table(reference),
         reference.labels,
         reference.name,
     )
@@ -220,12 +223,46 @@ def test_sparse_tables_match_the_dense_references(left, right):
         assert _same_algebra(tensor(e, f), reference_tensor(e, f))
 
 
+one_algebra = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(0, 3)).map(
+        lambda nm: truncated_algebra(*nm)
+    ),
+    st.integers(1, 6).map(product_algebra),
+    st.fractions(-3, 3, max_denominator=4).map(dring_algebra),
+    st.just(trivial_algebra()),
+    st.just(make_builtin(GAUSS)),
+)
+
+
+def _tensor_within_budget(e, f):
+    return tensor(e, f) if e.rank * f.rank <= ALGEBRA_RANK_BUDGET else e
+
+
+algebras = st.one_of(
+    one_algebra,
+    st.tuples(one_algebra, one_algebra).map(lambda ef: _tensor_within_budget(*ef)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras)
+def test_algebras_read_back_from_their_dense_tables(algebra):
+    back = dense_algebra(algebra.labels, dense_table(algebra), algebra.name)
+    assert (back.terms, back.labels, back.name) == (
+        algebra.terms,
+        algebra.labels,
+        algebra.name,
+    )
+    assert back == algebra and hash(back) == hash(algebra)
+
+
 def test_make_builtin():
     assert make_builtin({"builtin": "trivial"}).rank == 1
     assert make_builtin({"builtin": "truncated", "vars": 1, "order": 2}).rank == 3
     assert make_builtin({"builtin": "product", "n": 2}).labels == ("1", "u1")
-    assert make_builtin({"builtin": "dring", "c": "1"}).table[1][1][1] == 1
-    assert make_builtin({"builtin": "dring", "c": "1/3"}).table[1][1][1] == Fraction(1, 3)
+    assert dense_table(make_builtin({"builtin": "dring", "c": "1"}))[1][1][1] == 1
+    third = make_builtin({"builtin": "dring", "c": "1/3"})
+    assert dense_table(third)[1][1][1] == Fraction(1, 3)
     assert make_builtin(GAUSS).labels == ("1", "e")
     with pytest.raises(ValueError):
         make_builtin({"builtin": "nope"})
@@ -296,7 +333,7 @@ def test_tensor_product_dual():
 def test_tensor_trivial_is_relabel():
     f = truncated_algebra(1, 2)
     tf = tensor(trivial_algebra(), f)
-    assert tf.rank == f.rank and tf.table == f.table and tf.labels == f.labels
+    assert tf.rank == f.rank and tf.terms == f.terms and tf.labels == f.labels
 
 
 def test_tensor_swap_permutation():
@@ -307,12 +344,13 @@ def test_tensor_swap_permutation():
     ):
         ef = tensor(e, f)
         fe = tensor(f, e)
+        ef_table, fe_table = dense_table(ef), dense_table(fe)
         pi = tensor_swap_permutation(e, f)
         assert sorted(pi) == list(range(ef.rank))
         for i in range(ef.rank):
             for j in range(ef.rank):
                 for k in range(ef.rank):
-                    assert ef.table[i][j][k] == fe.table[pi[i]][pi[j]][pi[k]]
+                    assert ef_table[i][j][k] == fe_table[pi[i]][pi[j]][pi[k]]
 
 
 def test_basis_power_expansion():

@@ -3,6 +3,7 @@
 import ast
 import copy
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ import prolong.interpolation as interpolation
 import prolong.laws as laws
 import prolong.prolongations as prolongations
 from prolong.algebra import ALGEBRA_RANK_BUDGET
-from prolong.cli import main
+from prolong.cli import JET_COORDINATE_BUDGET, main
 from prolong.fixtures import FixtureError, load_fixture, load_fixtures
 from prolong.groebner import EngineLimitError
 from prolong.scalars import Field
@@ -45,6 +47,18 @@ def write_point(tmp_path, values, name="p.json"):
     path = tmp_path / name
     path.write_text(json.dumps(values))
     return path
+
+
+def test_every_console_script_names_an_importable_callable():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"]
+    for script, target in project["scripts"].items():
+        module, _, attribute = target.partition(":")
+        entry = importlib.import_module(module)
+        for name in attribute.split("."):
+            entry = getattr(entry, name)
+        assert callable(entry), script
 
 
 def test_prolong_prints_the_frozen_generators(capsys):
@@ -200,6 +214,29 @@ def test_prolong_compose_matches_fixture_second(capsys, tmp_path):
     assert payload["renaming"]["x_3"] == "x_1_1"
 
 
+@pytest.mark.parametrize(
+    "command, order, fixture, nvars",
+    [
+        # the largest order within the budget: the conic's 2 variables, and
+        # the sphere's 3 times the rank 3 of truncated(1,2)
+        ("jet", 98, "conic", 2),
+        ("interpolate", 6, "sphere", 9),
+        ("interpolate", 10**30 - 1, "conic", 4),
+    ],
+)
+def test_an_order_over_the_jet_budget_exits_two(capsys, command, order, fixture, nvars):
+    if order < 100:
+        assert comb(nvars + order, order) - 1 <= JET_COORDINATE_BUDGET
+    code, out = run_cli(
+        capsys, command, "--order", order + 1, "--input", FIXTURES / f"{fixture}.json"
+    )
+    assert code == 2
+    assert out == (
+        f"error: --order {order + 1} on {nvars} variables is over the budget of"
+        f" {JET_COORDINATE_BUDGET} jet coordinates\n"
+    )
+
+
 def test_tensor_products_over_the_rank_budget_exit_two(capsys, tmp_path):
     """Two rank-10 algebras would make a rank-100 tensor table."""
     spec = {
@@ -319,6 +356,39 @@ def test_corrupted_operator_fails_its_law_with_a_witness(capsys, tmp_path):
     suite = payload["suites"][0]
     assert suite["witness"]["fixture"] == "hasse_corrupt"
     assert suite["witness"]["witness"]["law"] == "identity"
+
+
+GAUSS_TABLE = {"basis": ["1", "i"], "mult": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "algebra, expect, name",
+    [
+        ({"builtin": "product", "n": 1}, None, "product(1)"),
+        ({"builtin": "truncated", "vars": 1, "order": 2}, None, "truncated(1,2)"),
+        (dict(GAUSS_TABLE, name="gauss"), "pass", "gauss"),
+    ],
+)
+def test_the_dring_law_skips_an_algebra_not_of_dring_form(
+    capsys, tmp_path, algebra, expect, name
+):
+    # e_1*e_1 is not c*e_1: rank 1 has no e_1, and in truncated(1,2) and the
+    # gaussian table it is e_2 and -e_0
+    data = {"name": "odd", "base": ["t"], "vars": ["x"], "ideal": ["x - t"]}
+    data.update(algebra=algebra, law="dring")
+    if expect is not None:
+        data["expect"] = expect
+    target = tmp_path / "odd.json"
+    target.write_text(json.dumps(data))
+    code, payload = run_json(
+        capsys, "check", "--suite", "hasse_axioms", "--input", target
+    )
+    assert code == 3
+    [entry] = payload["suites"][0]["fixtures"]
+    assert entry["status"] == "skip"
+    assert entry["reason"] == (
+        f"the dring law needs a rank-2 algebra with e_1*e_1 = c*e_1, not {name}"
+    )
 
 
 def _edited_fixture(tmp_path, name, **fields):
@@ -1037,6 +1107,9 @@ def test_every_command_exits_with_a_code_on_every_input(capsys, tmp_path):
             ["compose"],
             ["compare"],
             ["interpolate", "--order", "1"],
+            # over the jet-coordinate budget on every fixture
+            ["jet", "--order", str(JET_COORDINATE_BUDGET + 1)],
+            ["interpolate", "--order", str(JET_COORDINATE_BUDGET + 1)],
         ]
         for flag in flags:
             runs += [

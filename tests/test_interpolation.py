@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_algebra,
     gamma_indices,
     multinomial,
     reference_interpolation_assignment,
     reference_interpolation_coefficients,
 )
 from prolong.algebra import (
-    AlgebraScheme,
     dring_algebra,
     dual_numbers,
     product_algebra,
@@ -151,7 +151,7 @@ def test_unit_slot_laws_for_truncated_algebras():
 
 def test_unit_slot_law_fails_without_nilpotents():
     # in Q[h]/(h^2 - 1) the exponent (0, 2) folds back onto the unit
-    loop = AlgebraScheme(
+    loop = dense_algebra(
         ("1", "h"),
         (
             ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),

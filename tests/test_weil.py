@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import base_change_along, point_down, point_up, specialize_base
+from helpers import (
+    base_change_along,
+    dense_algebra,
+    point_down,
+    point_up,
+    specialize_base,
+)
 from prolong.scalars import QQ
 from prolong.polynomials import (
     RingContext,
@@ -13,7 +19,6 @@ from prolong.polynomials import (
     transport,
 )
 from prolong.algebra import (
-    AlgebraScheme,
     dual_numbers,
     product_algebra,
     trivial_algebra,
@@ -27,7 +32,7 @@ from prolong.weil import (
     weil_restrict,
 )
 
-GAUSS = AlgebraScheme(["1", "e"], [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], name="gauss")
+GAUSS = dense_algebra(["1", "e"], [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], "gauss")
 
 
 def circle_scheme():
