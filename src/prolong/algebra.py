@@ -21,7 +21,14 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .polynomials import MONOMIAL_ONE, MultiPoly, RingContext, exponents_up_to
+from .polynomials import (
+    MultiPoly,
+    RingContext,
+    exponents_up_to,
+    packed_fold,
+    packed_poly,
+    packed_product,
+)
 
 
 # largest rank an algebra spec may ask for, checked before its constants are built
@@ -176,16 +183,6 @@ def _check_compatible(algebra: AlgebraScheme, ctx: RingContext, value) -> None:
         raise ValueError("elements over different contexts")
 
 
-def _accumulate(acc: dict, coeffs: Mapping, c, field) -> None:
-    """Add ``c`` times the terms ``coeffs`` into the coefficient dict ``acc``."""
-    add, mul, scaled = field.add, field.mul, c != 1
-    for m, v in coeffs.items():
-        if scaled:
-            v = mul(v, c)
-        old = acc.get(m)
-        acc[m] = v if old is None else add(old, v)
-
-
 class AlgebraElement:
     """Element of E(R): one polynomial per basis slot."""
 
@@ -196,7 +193,7 @@ class AlgebraElement:
     ):
         if len(slots) != algebra.rank:
             raise ValueError("slot count does not match algebra rank")
-        if any(s.ctx != ctx for s in slots):
+        if any(s.ctx is not ctx and s.ctx != ctx for s in slots):
             raise ValueError("slot polynomials from different contexts")
         self.algebra = algebra
         self.ctx = ctx
@@ -218,8 +215,9 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_compatible(self.algebra, self.ctx, other)
-        algebra = self.algebra
-        field = self.ctx.field
+        algebra, ctx = self.algebra, self.ctx
+        from_fraction = ctx.field.from_fraction
+        # one packed accumulator per output slot; each a_i*b_j is formed once
         out = [{} for _ in range(algebra.rank)]
         for i, a in enumerate(self.slots):
             if not a.coeffs:
@@ -227,12 +225,10 @@ class AlgebraElement:
             row = algebra.terms[i]
             for j, b in enumerate(other.slots):
                 if b.coeffs and row[j]:
-                    ab = (a * b).coeffs
+                    ab = packed_product(a, b)
                     for k, c in row[j]:
-                        _accumulate(out[k], ab, field.from_fraction(c), field)
-        return AlgebraElement(
-            algebra, self.ctx, tuple(MultiPoly(self.ctx, d) for d in out)
-        )
+                        packed_fold(out[k], ab, from_fraction(c))
+        return AlgebraElement(algebra, ctx, tuple(packed_poly(ctx, d) for d in out))
 
     def scale(self, poly) -> "AlgebraElement":
         if isinstance(poly, MultiPoly):
@@ -272,11 +268,11 @@ def evaluate_in_algebra(
 
     Every variable occurring in ``poly`` must be assigned; coefficients map
     through the unit.  Powers are built up incrementally and cached per
-    variable, and the scaled terms are summed slot by slot in place.
+    variable, and the scaled terms are summed into one packed accumulator
+    per slot.
     """
     if poly.ctx.field != ctx.field:
         raise ValueError("coefficient fields differ")
-    field = ctx.field
     powers: dict[str, list[AlgebraElement]] = {}
 
     def power(name: str, e: int) -> AlgebraElement:
@@ -297,12 +293,12 @@ def evaluate_in_algebra(
         for i, e in m.exps:
             p = power(names[i], e)
             term = p if term is None else term * p
-        if term is None:
-            _accumulate(out[0], {MONOMIAL_ONE: c}, field.one, field)
+        if term is None:  # a constant term: c times the unit e_0
+            packed_fold(out[0], ((0, c, 0),), 1)
         else:
             for acc, s in zip(out, term.slots):
-                _accumulate(acc, s.coeffs, c, field)
-    return AlgebraElement(algebra, ctx, tuple(MultiPoly(ctx, d) for d in out))
+                packed_fold(acc, [(n.p, v, n.deg) for n, v in s.coeffs.items()], c)
+    return AlgebraElement(algebra, ctx, tuple(packed_poly(ctx, d) for d in out))
 
 
 # -- builtins -------------------------------------------------------------------

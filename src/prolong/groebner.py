@@ -233,20 +233,32 @@ def _reduced(
     nvars: int,
 ) -> list[tuple[int, Monomial, MultiPoly, None]]:
     """The reduced basis of a Groebner basis given as a monic table, largest
-    leading monomial first."""
+    leading monomial first.
+
+    Entries without a signature come from an earlier call and are reduced
+    among themselves already; one is reduced again only when a term of it is
+    divisible by the leading monomial of a new entry.  Every new entry is
+    reduced.  A tail term is only divisible by smaller leading monomials, so
+    entries are reduced by increasing leading monomial, each against the
+    ones already done.  The reduced basis is unique, so this gives what
+    reducing every entry by all the others would."""
     guard = packed_guard(nvars)
     # minimize: by increasing degree, keep each generator whose leading
     # monomial no kept one divides
-    minimal: list[tuple[int, Monomial, MultiPoly, None]] = []
-    for lp, lm, g, _ in sorted(table, key=lambda item: item[1].deg):
+    minimal: list[tuple[int, Monomial, MultiPoly, bool]] = []
+    for lp, lm, g, s in sorted(table, key=lambda item: item[1].deg):
         if not any(((lp | guard) - kept) & guard == guard for kept, *_ in minimal):
-            minimal.append((lp, lm, g, None))
-    # tail-reduce each against the others; leading terms stay monic
-    reduced = [
-        (lp, lm, _reduce(g, minimal[:i] + minimal[i + 1 :]), None)
-        for i, (lp, lm, g, _) in enumerate(minimal)
-    ]
-    reduced.sort(key=lambda item: grevlex_key(item[1], nvars), reverse=True)
+            minimal.append((lp, lm, g, s is not None))
+    fresh = [lp for lp, _, _, new in minimal if new]
+    minimal.sort(key=lambda item: grevlex_key(item[1], nvars))
+    reduced: list[tuple[int, Monomial, MultiPoly, None]] = []
+    for lp, lm, g, new in minimal:
+        if new or any(
+            ((m.p | guard) - f) & guard == guard for m in g.coeffs for f in fresh
+        ):
+            g = _reduce(g, reduced)
+        reduced.append((lp, lm, g, None))
+    reduced.reverse()
     return reduced
 
 

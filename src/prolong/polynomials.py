@@ -26,6 +26,9 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 MAX_EXPONENT = (1 << 31) - 1
 _FIELD = (1 << 32) - 1
 _LIMIT = f"the limit {MAX_EXPONENT} (2**31 - 1)"
+# largest power of a sum the parser expands: (x + y + z + 1)^16 has 969
+# terms, while (x + 1)^20000 would take minutes
+POWER_LIMIT = 16
 
 
 @cache
@@ -301,17 +304,27 @@ class MultiPoly:
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        field = self.ctx.field
+        p = self.ctx.field.p
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = field.add(out.get(m, field.zero), c)
-        return MultiPoly(self.ctx, out)
+            old = out.get(m)
+            if old is None:
+                out[m] = c
+                continue
+            c = old + c
+            if p is not None:
+                c %= p
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return _poly(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        field = self.ctx.field
-        return MultiPoly(self.ctx, {m: field.neg(c) for m, c in self.coeffs.items()})
+        neg = self.ctx.field.neg
+        return _poly(self.ctx, {m: neg(c) for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -323,13 +336,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         other = self._coerce(other)
-        field = self.ctx.field
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = m1.mul(m2)
-                out[m] = field.add(out.get(m, field.zero), field.mul(c1, c2))
-        return MultiPoly(self.ctx, out)
+        return packed_poly(self.ctx, _products(self, other))
 
     def __rmul__(self, other) -> "MultiPoly":
         return self.scale(other)
@@ -337,7 +344,9 @@ class MultiPoly:
     def scale(self, scalar) -> "MultiPoly":
         field = self.ctx.field
         c0 = field.coerce(scalar)
-        return MultiPoly(self.ctx, {m: field.mul(c, c0) for m, c in self.coeffs.items()})
+        if field.is_zero(c0):
+            return _poly(self.ctx, {})
+        return _poly(self.ctx, {m: field.mul(c, c0) for m, c in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -366,6 +375,90 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"<poly {poly_to_str(self)}>"
+
+
+def _poly(ctx: RingContext, coeffs: dict[Monomial, object]) -> MultiPoly:
+    """A MultiPoly over ``coeffs`` as given; it must hold no zero coefficient."""
+    poly = object.__new__(MultiPoly)
+    poly.ctx, poly.coeffs = ctx, coeffs
+    return poly
+
+
+# -- packed accumulation -------------------------------------------------------
+#
+# Products are summed on packed exponent ints (Monagan & Pearce, CASC 2007):
+# an accumulator maps the packed exponents of each monomial to a list
+# [coefficient, degree], coefficients are added and multiplied with plain
+# + and *, and each output term is reduced into the field and made a
+# Monomial once, at the end.  Terms keep the order of their first product.
+
+
+def _products(f: MultiPoly, g: MultiPoly) -> dict[int, list]:
+    """The term products of f and g summed into a new accumulator.  When the
+    largest degrees of f and g sum past MAX_EXPONENT, Monomial.mul checks
+    every product first and raises on an exponent overflow.  A coefficient 1
+    is not multiplied: most symbolic terms have one, and a Fraction product
+    costs more than the test."""
+    acc: dict[int, list] = {}
+    if not f.coeffs or not g.coeffs:
+        return acc
+    terms = [(m.p, m.deg, c, c == 1) for m, c in g.coeffs.items()]
+    if max(m.deg for m in f.coeffs) + max(t[1] for t in terms) > MAX_EXPONENT:
+        for m1 in f.coeffs:
+            for m2 in g.coeffs:
+                m1.mul(m2)
+    get = acc.get
+    for m1, c1 in f.coeffs.items():
+        p1, d1, one = m1.p, m1.deg, c1 == 1
+        for p2, d2, c2, one2 in terms:
+            c = c2 if one else c1 if one2 else c1 * c2
+            q = p1 + p2
+            t = get(q)
+            if t is None:
+                acc[q] = [c, d1 + d2]
+            else:
+                t[0] += c
+    return acc
+
+
+def packed_product(f: MultiPoly, g: MultiPoly) -> list[tuple[int, object, int]]:
+    """The nonzero terms of f*g as (packed exponents, coefficient, degree)."""
+    p = f.ctx.field.p
+    if p is None:
+        return [(q, c, d) for q, (c, d) in _products(f, g).items() if c]
+    return [(q, r, d) for q, (c, d) in _products(f, g).items() if (r := c % p)]
+
+
+def packed_fold(
+    acc: dict[int, list], terms: Iterable[tuple[int, object, int]], c
+) -> None:
+    """Add c times each (packed exponents, coefficient, degree) term into acc."""
+    get, scaled = acc.get, c != 1
+    for q, v, d in terms:
+        if scaled:
+            v = v * c
+        t = get(q)
+        if t is None:
+            acc[q] = [v, d]
+        else:
+            t[0] += v
+
+
+def packed_poly(ctx: RingContext, acc: dict[int, list]) -> MultiPoly:
+    """The polynomial of an accumulator: coefficients reduced into the
+    field, zeros dropped, each Monomial made once."""
+    p = ctx.field.p
+    if p is None:
+        return _poly(ctx, {
+            _packed(q, d, (q.bit_length() + 31) >> 5): c
+            for q, (c, d) in acc.items()
+            if c
+        })
+    return _poly(ctx, {
+        _packed(q, d, (q.bit_length() + 31) >> 5): r
+        for q, (c, d) in acc.items()
+        if (r := c % p)
+    })
 
 
 # -- printing ----------------------------------------------------------------
@@ -480,8 +573,16 @@ class _Parser:
     def parse_factor(self) -> MultiPoly:
         base = self.parse_base()
         if self.peek() == "^":
+            at = self.pos
             self.pos += 1
-            return base ** self.parse_uint()
+            e = self.parse_uint()
+            if e > POWER_LIMIT and len(base.coeffs) > 1:
+                raise ParseError(
+                    f"power {e} of a polynomial with more than one term is"
+                    f" above the limit {POWER_LIMIT}",
+                    at,
+                )
+            return base**e
         return base
 
     def parse_base(self) -> MultiPoly:

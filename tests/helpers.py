@@ -97,6 +97,42 @@ def reference_lcm(a: Monomial, b: Monomial) -> Monomial:
     return Monomial(ReferenceMonomial(a.exps).lcm(ReferenceMonomial(b.exps)).exps)
 
 
+def _same_ctx(f: MultiPoly, g: MultiPoly) -> None:
+    if f.ctx != g.ctx:
+        raise ValueError("polynomials from different contexts")
+
+
+def reference_poly_add(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f + g through the field's add, one Monomial-keyed dict entry at a
+    time; cancelled terms are dropped by the constructor."""
+    _same_ctx(f, g)
+    field = f.ctx.field
+    out = dict(f.coeffs)
+    for m, c in g.coeffs.items():
+        out[m] = field.add(out.get(m, field.zero), c)
+    return MultiPoly(f.ctx, out)
+
+
+def reference_poly_sub(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    _same_ctx(f, g)
+    neg = g.ctx.field.neg
+    negated = MultiPoly(g.ctx, {m: neg(c) for m, c in g.coeffs.items()})
+    return reference_poly_add(f, negated)
+
+
+def reference_poly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f * g term pair by term pair: Monomial.mul checks each product's
+    exponents, and the field's add and mul reduce every step."""
+    _same_ctx(f, g)
+    field = f.ctx.field
+    out = {}
+    for m1, c1 in f.coeffs.items():
+        for m2, c2 in g.coeffs.items():
+            m = m1.mul(m2)
+            out[m] = field.add(out.get(m, field.zero), field.mul(c1, c2))
+    return MultiPoly(f.ctx, out)
+
+
 def reference_compositions(total: int, slots: int) -> list:
     """Length-``slots`` tuples summing to ``total`` in descending
     lexicographic order, by recursion on the first slot."""
@@ -506,13 +542,17 @@ def reference_algebra_violation(table):
     return None
 
 
-def reference_algebra_mul(x, y):
-    """E(R) product term by term: every structure constant adds one scaled
-    copy of the slot product to a fresh output polynomial."""
+def _same_algebra(x, y) -> None:
     if x.algebra != y.algebra:
         raise ValueError("elements of different algebras")
     if x.ctx != y.ctx:
         raise ValueError("elements over different contexts")
+
+
+def reference_algebra_mul(x, y):
+    """E(R) product term by term: every structure constant adds one scaled
+    copy of the slot product to a fresh output polynomial."""
+    _same_algebra(x, y)
     algebra, ctx = x.algebra, x.ctx
     out = [ctx.zero() for _ in range(algebra.rank)]
     for i, a in enumerate(x.slots):
@@ -521,10 +561,35 @@ def reference_algebra_mul(x, y):
         for j, b in enumerate(y.slots):
             if b.is_zero():
                 continue
-            ab = a * b
+            ab = reference_poly_mul(a, b)
             for k, c in algebra.terms[i][j]:
-                out[k] = out[k] + ab.scale(ctx.field.from_fraction(c))
+                scaled = ab.scale(ctx.field.from_fraction(c))
+                out[k] = reference_poly_add(out[k], scaled)
     return algebra.element(ctx, out)
+
+
+def reference_slot_mul(x, y):
+    """E(R) product summed slot by slot into Monomial-keyed dicts: each
+    nonzero slot product is formed once by :func:`reference_poly_mul` and
+    added, times c_ij^k, into output slot k."""
+    _same_algebra(x, y)
+    algebra, ctx = x.algebra, x.ctx
+    field = ctx.field
+    out = [{} for _ in range(algebra.rank)]
+    for i, a in enumerate(x.slots):
+        if not a.coeffs:
+            continue
+        row = algebra.terms[i]
+        for j, b in enumerate(y.slots):
+            if b.coeffs and row[j]:
+                ab = reference_poly_mul(a, b).coeffs
+                for k, c in row[j]:
+                    c = field.from_fraction(c)
+                    for m, v in ab.items():
+                        v = field.mul(v, c) if c != 1 else v
+                        old = out[k].get(m)
+                        out[k][m] = v if old is None else field.add(old, v)
+    return AlgebraElement(algebra, ctx, tuple(MultiPoly(ctx, d) for d in out))
 
 
 def reference_evaluate_in_algebra(poly, assignment, algebra, ctx):

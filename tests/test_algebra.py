@@ -13,6 +13,7 @@ from helpers import (
     reference_basis_power_expansion,
     reference_evaluate_in_algebra,
     reference_product_algebra,
+    reference_slot_mul,
     reference_tensor,
     reference_truncated_algebra,
     tensor_swap_permutation,
@@ -467,6 +468,20 @@ def test_product_matches_reference(data, algebra, field):
     a = data.draw(elements(algebra, ctx))
     b = data.draw(elements(algebra, ctx))
     assert a * b == reference_algebra_mul(a, b)
+
+
+@differential
+@given(st.data(), st.sampled_from(ALGEBRAS), st.sampled_from(FIELDS))
+def test_product_matches_the_slotwise_reference(data, algebra, field):
+    """The packed product keeps every slot's terms, and their order, as
+    summing Monomial-keyed dicts slot by slot does."""
+    ctx = target_ctx(field)
+    a = data.draw(elements(algebra, ctx))
+    b = data.draw(elements(algebra, ctx))
+    got, want = a * b, reference_slot_mul(a, b)
+    assert [list(s.coeffs.items()) for s in got.slots] == [
+        list(s.coeffs.items()) for s in want.slots
+    ]
 
 
 @differential

@@ -582,6 +582,24 @@ def test_symbolic_reports_match_the_recorded_digests(capsys, seed):
     assert digests == recorded
 
 
+# sha256 of `check --suite surjectivity --format json --trials 10` on the
+# shipped fixtures, per seed: a faster kernel must leave these reports as
+# they are
+SURJECTIVITY_DIGESTS = {
+    0: "0de2c319e88c9062627104f1345a949b9619c907ea99170b61603a9b5b7a5967",
+    1: "c44532f06c57b64710baeb3bc3622464caecc080c85d7165a02eefed730b92a6",
+    2: "6a93500b3df9768cf5aa62e8ea25c157a163f9997ac840fc235b40362cafb79b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SURJECTIVITY_DIGESTS))
+def test_surjectivity_reports_match_the_recorded_digests(capsys, seed):
+    args = ("check", "--suite", "surjectivity", "--input", FIXTURES, "--seed", seed)
+    code, out = run_cli(capsys, *args, "--trials", 10, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SURJECTIVITY_DIGESTS[seed]
+
+
 def test_expected_failures_keep_the_suite_green(capsys):
     code, payload = run_json(
         capsys, "check", "--suite", "hasse_axioms", "--input", FIXTURES
@@ -973,6 +991,11 @@ GP_FIXTURE = {
             {"name": "d", "vars": ["x", "y"], "ideal": ["x^2 + y^2 - 1"], "dim": -1},
             "d: dim must lie between 0 and the number of variables, 2, got -1",
         ),
+        (
+            {"vars": ["x"], "ideal": ["(x+1)^20000 - 1"]},
+            "bad: ideal: power 20000 of a polynomial with more than one term is"
+            " above the limit 16 (at offset 5)",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -1011,6 +1034,7 @@ GP_FIXTURE = {
         "algebra-point-not-slots",
         "dim-above-the-variables",
         "dim-negative",
+        "power-of-a-sum-above-the-limit",
     ],
 )
 def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):
@@ -1088,8 +1112,11 @@ FLAG_FILES = {
 
 
 def test_every_command_exits_with_a_code_on_every_input(capsys, tmp_path):
-    """Every command on every shipped fixture, with good and malformed flag
-    files, ends in an exit code from 0 to 3 and lets no exception escape."""
+    """Every command on every shipped fixture, and on one whose power of a
+    sum is over the parser's limit, with good and malformed flag files, ends
+    in an exit code from 0 to 3 and lets no exception escape."""
+    power = tmp_path / "power_of_a_sum.json"
+    power.write_text(json.dumps({"vars": ["x"], "ideal": ["(x+1)^20000 - 1"]}))
     flags = []
     for name, content in FLAG_FILES.items():
         path = tmp_path / name
@@ -1099,7 +1126,7 @@ def test_every_command_exits_with_a_code_on_every_input(capsys, tmp_path):
             path.write_text(content)
         flags.append(str(path))
     escaped, codes = [], []
-    for fixture in sorted(FIXTURES.glob("*.json")):
+    for fixture in [*sorted(FIXTURES.glob("*.json")), power]:
         runs = [
             ["weil"],
             ["prolong"],

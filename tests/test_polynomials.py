@@ -11,6 +11,7 @@ from prolong.polynomials import (
     MONOMIAL_ONE,
     Monomial,
     MultiPoly,
+    POWER_LIMIT,
     ParseError,
     RingContext,
     UnknownIdentifierError,
@@ -35,6 +36,9 @@ from helpers import (
     reference_compositions,
     reference_grevlex_key,
     reference_grlex_key,
+    reference_poly_add,
+    reference_poly_mul,
+    reference_poly_sub,
     taylor_shift,
 )
 
@@ -270,6 +274,20 @@ def test_parse_errors():
         parse_poly("x/5", f5)
 
 
+def test_power_of_a_sum_is_bounded_before_it_is_expanded():
+    ctx = RingContext(QQ, scheme_vars=("x", "y"))
+    limit = f"above the limit {POWER_LIMIT}"
+    for text, offset in (("(2*x+3*y+1)^200", 11), ("(x + 1) ^ 20000 - 1", 8)):
+        with pytest.raises(ParseError, match=limit) as err:
+            parse_poly(text, ctx)
+        assert err.value.offset == offset and text[offset] == "^"
+    x, y = ctx.var("x"), ctx.var("y")
+    assert parse_poly(f"(x + y)^{POWER_LIMIT}", ctx) == (x + y) ** POWER_LIMIT
+    # one term keeps the monomial path, up to the exponent limit
+    assert parse_poly("(3*x*y)^40", ctx) == (x * y) ** 40 * 3**40
+    assert parse_poly("x^2147483647", ctx).degree() == MAX_EXPONENT
+
+
 def test_substitute_and_transport():
     src = RingContext(QQ, base_gens=("t",), scheme_vars=("x",))
     tgt = RingContext(QQ, base_gens=("t",), scheme_vars=("u", "v"))
@@ -385,3 +403,77 @@ def test_taylor_identity():
                 term = term * big.var(("sx", "sy")[i]) ** e
             total = total + term
         assert total == shifted
+
+
+# Polynomials for the product and sum kernels: few variables so terms
+# collide, exponents that are small or at the top of the packed fields.
+KERNEL_FIELDS = [QQ, GF(7)]
+kernel_exponents = st.one_of(
+    st.integers(0, 2), st.sampled_from([MAX_EXPONENT - 1, MAX_EXPONENT])
+)
+
+
+@st.composite
+def kernel_polys(draw, ctx):
+    """A polynomial of up to five terms, possibly zero or constant."""
+    monos = st.builds(
+        lambda exps: Monomial(enumerate(exps)),
+        st.lists(kernel_exponents, min_size=ctx.nvars, max_size=ctx.nvars),
+    )
+    coeff = st.integers(-6, 6)
+    if ctx.field.is_rational:
+        coeff = st.builds(Fraction, coeff, st.integers(1, 4))
+    terms = draw(st.dictionaries(monos, coeff.map(ctx.field.coerce), max_size=5))
+    return MultiPoly(ctx, terms)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two polynomials of one context; the second may cancel some or all
+    terms of the first, or be a constant or zero."""
+    ctx = RingContext(draw(st.sampled_from(KERNEL_FIELDS)), scheme_vars=("x", "y"))
+    f = draw(kernel_polys(ctx))
+    g = draw(kernel_polys(ctx))
+    shape = draw(st.sampled_from(["any", "cancel", "negation", "constant"]))
+    negated = {m: ctx.field.neg(c) for m, c in f.coeffs.items()}
+    if shape == "cancel" and negated:
+        kept = draw(st.sets(st.sampled_from(sorted(negated, key=lambda m: m.p))))
+        g = MultiPoly(ctx, g.coeffs | {m: negated[m] for m in kept})
+    elif shape == "negation":
+        g = MultiPoly(ctx, negated)
+    elif shape == "constant":
+        g = ctx.const(draw(st.integers(-3, 3)))
+    return f, g
+
+
+def outcome(fn, *args):
+    """The terms of fn(*args) in dict order, or the message it raised."""
+    try:
+        return list(fn(*args).coeffs.items())
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_pairs(), st.booleans())
+def test_kernels_match_the_references(pair, swap):
+    """*, + and - give the references' terms, in the same order, and an
+    exponent past MAX_EXPONENT raises the same message."""
+    f, g = pair[::-1] if swap else pair
+    assert outcome(lambda: f * g) == outcome(reference_poly_mul, f, g)
+    assert outcome(lambda: f + g) == outcome(reference_poly_add, f, g)
+    assert outcome(lambda: f - g) == outcome(reference_poly_sub, f, g)
+    assert (f - f).is_zero() and (f * f.ctx.zero()).is_zero()
+
+
+def test_kernels_raise_on_exponent_overflow_like_the_reference():
+    ctx = RingContext(GF(7), scheme_vars=("x", "y"))
+    top = MultiPoly(ctx, {Monomial([(0, MAX_EXPONENT)]): 1, MONOMIAL_ONE: 1})
+    y_top = MultiPoly(ctx, {Monomial([(1, MAX_EXPONENT)]): 1})
+    x = ctx.var("x")
+    message = outcome(reference_poly_mul, top, x)
+    assert "exponent above the limit 2147483647" in message
+    assert outcome(lambda: top * x) == message
+    # degrees past the limit in different variables are no overflow
+    assert outcome(lambda: top * y_top) == outcome(reference_poly_mul, top, y_top)
+    assert (top * y_top).degree() == 2 * MAX_EXPONENT
