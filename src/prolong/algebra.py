@@ -136,19 +136,6 @@ class AlgebraScheme:
     def __repr__(self) -> str:
         return f"AlgebraScheme({self.name!r}, rank={self.rank})"
 
-    def multiply_vectors(self, a: Sequence[Fraction], b: Sequence[Fraction]):
-        """Rational coefficient vectors multiplied through the constants."""
-        out = [Fraction(0)] * self.rank
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                for k, c in self.terms[i][j]:
-                    out[k] += ai * bj * c
-        return out
-
     # -- elements -------------------------------------------------------------
 
     def element(self, ctx: RingContext, slots: Sequence) -> "AlgebraElement":
@@ -156,10 +143,7 @@ class AlgebraScheme:
             raise ValueError(
                 f"expected {self.rank} slots, got {len(slots)}"
             )
-        polys = tuple(
-            s if isinstance(s, MultiPoly) else ctx.const(_reduce(ctx, s))
-            for s in slots
-        )
+        polys = tuple(s if isinstance(s, MultiPoly) else ctx.const(s) for s in slots)
         return AlgebraElement(self, ctx, polys)
 
     def unit(self, ctx: RingContext) -> "AlgebraElement":
@@ -168,12 +152,6 @@ class AlgebraScheme:
     def scalar(self, ctx: RingContext, poly: MultiPoly) -> "AlgebraElement":
         """Image of a base element under the standard inclusion s."""
         return self.element(ctx, [poly] + [ctx.zero()] * (self.rank - 1))
-
-
-def _reduce(ctx: RingContext, value):
-    if isinstance(value, Fraction):
-        return ctx.field.from_fraction(value)
-    return ctx.field.coerce(value)
 
 
 def _check_compatible(algebra: AlgebraScheme, ctx: RingContext, value) -> None:
@@ -229,15 +207,6 @@ class AlgebraElement:
                     for k, c in row[j]:
                         packed_fold(out[k], ab, from_fraction(c))
         return AlgebraElement(algebra, ctx, tuple(packed_poly(ctx, d) for d in out))
-
-    def scale(self, poly) -> "AlgebraElement":
-        if isinstance(poly, MultiPoly):
-            return AlgebraElement(
-                self.algebra, self.ctx, tuple(s * poly for s in self.slots)
-            )
-        return AlgebraElement(
-            self.algebra, self.ctx, tuple(s.scale(poly) for s in self.slots)
-        )
 
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.slots)

@@ -18,6 +18,7 @@ from .groebner import ExactMatrix, apply_matrix, rank
 from .jets import (
     JetScheme,
     LinearFiber,
+    coefficient_rows,
     jet_fiber,
     jet_scheme,
     linear_system,
@@ -27,7 +28,7 @@ from .jets import (
 from .operators import RingOperator
 from .polynomials import Monomial, MultiPoly, hasse_derivative, substitute
 from .prolongations import Prolongation, nabla, prolong
-from .weil import AffineScheme, NotScalarPointError, PolyMorphism, SchemePoint
+from .weil import AffineScheme, NotScalarPointError, PolyMorphism, claimed
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,10 @@ class InterpolationMap:
     def assignment(self):
         return self.morphism.assignment
 
+    @property
+    def made_from(self) -> tuple:
+        return self.jet.source, self.order, self.operator
+
 
 def interpolation_map(
     scheme: AffineScheme,
@@ -60,16 +65,9 @@ def interpolation_map(
     prolongation: Prolongation | None = None,
     jet: JetScheme | None = None,
 ) -> InterpolationMap:
-    if prolongation is None:
-        prolongation = prolong(scheme, operator)
-    elif prolongation.source is not scheme or prolongation.operator is not operator:
-        raise ValueError("prolongation was built from different data")
-    pro = prolongation
+    pro = claimed(prolongation, prolong, scheme, operator)
     source = jet_scheme(pro.scheme, order)
-    if jet is None:
-        jet = jet_scheme(scheme, order)
-    elif jet.source is not scheme or jet.order != order:
-        raise ValueError("jet scheme was built from different data")
+    jet = claimed(jet, jet_scheme, scheme, order)
     target = prolong(jet.scheme, operator)
     sctx, restricted = source.ctx, pro.ctx.scheme_vars
 
@@ -99,18 +97,6 @@ def interpolation_map(
     )
 
 
-def _claimed(result, scheme, order, operator):
-    if result is None:
-        return interpolation_map(scheme, order, operator)
-    if (
-        result.jet.source is not scheme
-        or result.operator is not operator
-        or result.order != order
-    ):
-        raise ValueError("interpolation map was built from different data")
-    return result
-
-
 def fiber_matrices_at(
     scheme: AffineScheme,
     order: int,
@@ -125,7 +111,7 @@ def fiber_matrices_at(
     restricted jet scheme with the expanded point substituted.  The matrix
     carries solutions of the first system into solutions of the second.
     """
-    imap = _claimed(interpolation, scheme, order, operator)
+    imap = claimed(interpolation, interpolation_map, scheme, order, operator)
     pro = imap.prolongation
     npoint = nabla(scheme, operator, point, result=pro)
     m_src = jet_fiber(pro.scheme, order, npoint, jet=imap.source)
@@ -140,23 +126,10 @@ def fiber_matrices_at(
     m_tgt = LinearFiber(
         linear_system(imap.target.scheme.generators[nplain:], values, tctx, wcols)
     )
-    field = tctx.field
-    index = {name: k for k, name in enumerate(m_src.columns)}
-    rows = []
-    for w in wcols:
-        row = [field.zero] * len(index)
-        for m, c in imap.assignment[w].coeffs.items():
-            ((vi, exp),) = m.exps
-            if exp != 1:
-                raise ValueError("interpolation assignment is not linear")
-            row[index[imap.source.ctx.all_vars[vi]]] = c
-        rows.append(row)
+    cols = list(m_src.columns)
+    rows = coefficient_rows((imap.assignment[w] for w in wcols), imap.source.ctx, cols)
     phi = ExactMatrix(
-        field,
-        rows,
-        ncols=len(index),
-        row_labels=wcols,
-        col_labels=list(m_src.columns),
+        tctx.field, rows, ncols=len(cols), row_labels=wcols, col_labels=cols
     )
     return m_src, m_tgt, phi
 
@@ -164,10 +137,8 @@ def fiber_matrices_at(
 def jacobian_rank(scheme: AffineScheme, point) -> int:
     """Rank of the Jacobian of the generators at a scalar point.  Raises
     :class:`NotScalarPointError` on an entry that depends on the base ring."""
-    if not isinstance(point, SchemePoint):
-        point = SchemePoint(scheme, point)
     ctx = scheme.ctx
-    values = scalar_values(point, ctx)
+    values = scalar_values(scheme.point(point), ctx)
     rows = []
     for gen in scheme.generators:
         row = []
@@ -210,8 +181,7 @@ def check_surjectivity(
     must have exactly that many generators, so that the rank also equals
     the generator count.  Otherwise the check is skipped rather than failed.
     """
-    if not isinstance(point, SchemePoint):
-        point = SchemePoint(scheme, point)
+    point = scheme.point(point)
     codim = len(scheme.ctx.scheme_vars) - expected_dim
     jrank, ngens = jacobian_rank(scheme, point), len(scheme.generators)
     if jrank != codim:

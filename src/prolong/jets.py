@@ -17,7 +17,7 @@ from .polynomials import (
     substitute,
     transport,
 )
-from .weil import AffineScheme, NotScalarPointError, PolyMorphism, SchemePoint
+from .weil import AffineScheme, NotScalarPointError, PolyMorphism, SchemePoint, claimed
 
 
 def jet_indices(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
@@ -47,6 +47,10 @@ class JetScheme:
     @property
     def ctx(self) -> RingContext:
         return self.scheme.ctx
+
+    @property
+    def made_from(self) -> tuple:
+        return self.source, self.order
 
     @property
     def z_variables(self) -> tuple[str, ...]:
@@ -109,20 +113,19 @@ class LinearFiber:
         return len(self.matrix.col_labels) - rank(self.matrix)
 
 
-def linear_system(polys, values, ctx: RingContext, columns) -> ExactMatrix:
-    """Rows of scalar coefficients after substituting ``values``.
+def coefficient_rows(polys, ctx: RingContext, columns) -> list[list]:
+    """Each polynomial's scalar coefficients on the column variables.
 
-    Every substituted polynomial must be a field combination of the column
-    variables; a leftover base generator or nonlinear term raises
+    Every polynomial must be a field combination of the column variables; a
+    leftover base generator or nonlinear term raises
     :class:`NotScalarPointError`.
     """
     field = ctx.field
     index = {ctx.var_index(name): k for k, name in enumerate(columns)}
     rows = []
     for poly in polys:
-        reduced = substitute(poly, values, ctx)
         row = [field.zero] * len(index)
-        for m, c in reduced.coeffs.items():
+        for m, c in poly.coeffs.items():
             exps = m.exps
             if len(exps) != 1 or exps[0][1] != 1 or exps[0][0] not in index:
                 # leftover base generators surface here as mixed monomials
@@ -133,7 +136,13 @@ def linear_system(polys, values, ctx: RingContext, columns) -> ExactMatrix:
                 )
             row[index[exps[0][0]]] = c
         rows.append(row)
-    return ExactMatrix(field, rows, col_labels=list(columns))
+    return rows
+
+
+def linear_system(polys, values, ctx: RingContext, columns) -> ExactMatrix:
+    """The :func:`coefficient_rows` of ``polys`` after substituting ``values``."""
+    rows = coefficient_rows((substitute(p, values, ctx) for p in polys), ctx, columns)
+    return ExactMatrix(ctx.field, rows, col_labels=list(columns))
 
 
 def scalar_values(point: SchemePoint, ctx: RingContext) -> dict[str, MultiPoly]:
@@ -160,15 +169,8 @@ def jet_fiber(
     A caller that already holds the jet scheme passes it as ``jet``.  Above
     order 1 the fiber is larger than the paper's (see :func:`jet_scheme`).
     """
-    if jet is None:
-        jet = jet_scheme(scheme, order)
-    elif jet.source is not scheme or jet.order != order:
-        raise ValueError("jet scheme was built from different data")
-    if not isinstance(point, SchemePoint):
-        point = SchemePoint(scheme, point)
-    if point.scheme is not scheme:
-        raise ValueError("point lies on a different scheme")
-    values = scalar_values(point, jet.ctx)
+    jet = claimed(jet, jet_scheme, scheme, order)
+    values = scalar_values(scheme.point(point), jet.ctx)
     polys = jet.scheme.generators[len(scheme.generators) :]
     return LinearFiber(linear_system(polys, values, jet.ctx, jet.z_variables))
 
@@ -215,14 +217,8 @@ def jet_morphism(
     of the shifted coordinate series raised to the beta powers, truncated
     above the jet order.
     """
-    if source_jet is None:
-        source_jet = jet_scheme(morphism.source, order)
-    elif source_jet.source is not morphism.source or source_jet.order != order:
-        raise ValueError("source jet was computed from different data")
-    if target_jet is None:
-        target_jet = jet_scheme(morphism.target, order)
-    elif target_jet.source is not morphism.target or target_jet.order != order:
-        raise ValueError("target jet was computed from different data")
+    source_jet = claimed(source_jet, jet_scheme, morphism.source, order)
+    target_jet = claimed(target_jet, jet_scheme, morphism.target, order)
     ctx = source_jet.ctx
     nvars = len(morphism.source.variables)
     assignment = {}

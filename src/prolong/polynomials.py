@@ -13,6 +13,7 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cache
 from math import comb, prod
@@ -29,6 +30,8 @@ _LIMIT = f"the limit {MAX_EXPONENT} (2**31 - 1)"
 # largest power of a sum the parser expands: (x + y + z + 1)^16 has 969
 # terms, while (x + 1)^20000 would take minutes
 POWER_LIMIT = 16
+# most digits str() prints of an int, 0 for no limit (as before Python 3.10.7)
+STR_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
 
 
 @cache
@@ -548,7 +551,7 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected character {self.text[self.pos]!r}")
-        return value
+        return self.printable(value, 0)
 
     def parse_expr(self) -> MultiPoly:
         value = self.parse_term()
@@ -566,8 +569,9 @@ class _Parser:
     def parse_term(self) -> MultiPoly:
         value = self.parse_factor()
         while self.peek() == "*":
+            at = self.pos
             self.pos += 1
-            value = value * self.parse_factor()
+            value = self.printable(value * self.parse_factor(), at)
         return value
 
     def parse_factor(self) -> MultiPoly:
@@ -582,8 +586,29 @@ class _Parser:
                     f" above the limit {POWER_LIMIT}",
                     at,
                 )
-            return base**e
+            if len(base.coeffs) == 1 and self.ctx.field.is_rational:
+                (c,) = base.coeffs.values()
+                # |c|^e >= 2**((b - 1) * e), checked before c^e is built
+                b = max(c.numerator.bit_length(), c.denominator.bit_length())
+                self.printable(base, at, (b - 1) * e)
+            return self.printable(base**e, at)
         return base
+
+    def printable(self, value: MultiPoly, at: int, bits: int = 0) -> MultiPoly:
+        """``value``, unless str() cannot print one of its coefficients or a
+        number of at least 2**bits, which has more than bits / 4 digits."""
+        for c in value.coeffs.values():
+            for n in (c.numerator, c.denominator):
+                # an int below 2**(3 * STR_DIGITS) prints; one that cannot fails
+                if n.bit_length() > 3 * STR_DIGITS and abs(n) >= 10**STR_DIGITS:
+                    bits = 4 * STR_DIGITS + 1
+        if STR_DIGITS and bits > 4 * STR_DIGITS:
+            raise ParseError(
+                f"a coefficient would have more than {STR_DIGITS} digits, the"
+                " limit for printing an integer",
+                at,
+            )
+        return value
 
     def parse_base(self) -> MultiPoly:
         ch = self.peek()

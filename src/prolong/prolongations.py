@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .operators import RingOperator, compose_operators
 from .polynomials import MultiPoly, RingContext, transport
-from .weil import AffineScheme, PolyMorphism, SchemePoint, generic_point
+from .weil import AffineScheme, PolyMorphism, SchemePoint, claimed, generic_point
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,10 @@ class Prolongation:
     @property
     def ctx(self) -> RingContext:
         return self.scheme.ctx
+
+    @property
+    def made_from(self) -> tuple:
+        return self.source, self.operator
 
     def expand(self, poly: MultiPoly) -> AlgebraElement:
         """A polynomial over the source, or a base-ring value, through the
@@ -87,16 +91,6 @@ def prolong(scheme: AffineScheme, operator: RingOperator) -> Prolongation:
     return Prolongation(restricted, scheme, operator.algebra, operator, substitution)
 
 
-def _claimed(
-    result: Prolongation | None, scheme: AffineScheme, operator: RingOperator
-) -> Prolongation:
-    if result is None:
-        return prolong(scheme, operator)
-    if result.source is not scheme or result.operator is not operator:
-        raise ValueError("prolongation was computed from different data")
-    return result
-
-
 def _slotwise(values) -> dict:
     """The coordinates ``<name>_<j>``, from slot j of each ``(name, slots)``."""
     return {
@@ -117,11 +111,8 @@ def nabla(
     satisfies the prolongation ideal is inherited from point construction,
     so membership is a checked fact rather than an assumption.
     """
-    result = _claimed(result, scheme, operator)
-    if not isinstance(point, SchemePoint):
-        point = SchemePoint(scheme, point)
-    if point.scheme is not scheme:
-        raise ValueError("point lies on a different scheme")
+    result = claimed(result, prolong, scheme, operator)
+    point = scheme.point(point)
     assignment = _slotwise(
         (name, result.expand(point.assignment[name]).slots) for name in scheme.variables
     )
@@ -140,8 +131,8 @@ def prolong_morphism(
     source prolongation's ring map; slot components give the new coordinate
     map.
     """
-    source_result = _claimed(source_result, morphism.source, operator)
-    target_result = _claimed(target_result, morphism.target, operator)
+    source_result = claimed(source_result, prolong, morphism.source, operator)
+    target_result = claimed(target_result, prolong, morphism.target, operator)
     assignment = _slotwise(
         (name, source_result.expand(morphism.assignment[name]).slots)
         for name in morphism.target.variables
@@ -183,13 +174,17 @@ def validate_algebra_map(
     if unit != expected_unit:
         raise AlgebraMapError(f"unit is not preserved: image of e_0 is {unit}")
     columns = [[rows[jp][j] for jp in range(fa.rank)] for j in range(ea.rank)]
+    images = [[(k, c) for k, c in enumerate(column) if c] for column in columns]
     for i in range(ea.rank):
         for j in range(ea.rank):
             left = [
                 sum((c * columns[k][jp] for k, c in ea.terms[i][j]), Fraction(0))
                 for jp in range(fa.rank)
             ]
-            right = [Fraction(v) for v in fa.multiply_vectors(columns[i], columns[j])]
+            right = [Fraction(0)] * fa.rank
+            for m, d in images[j]:
+                for n, v in fa._times(images[i], m).items():
+                    right[n] += d * v
             if left != right:
                 raise AlgebraMapError(
                     f"not multiplicative at (e_{i}, e_{j}): "
@@ -223,8 +218,8 @@ def compare_map(
     combination of the y_i_j.
     """
     rows = validate_algebra_map(alpha, e, f)
-    source_result = _claimed(source_result, scheme, e)
-    target_result = _claimed(target_result, scheme, f)
+    source_result = claimed(source_result, prolong, scheme, e)
+    target_result = claimed(target_result, prolong, scheme, f)
     ctx, rank = source_result.ctx, e.algebra.rank
     assignment = _slotwise(
         (name, _mapped(rows, [ctx.var(f"{name}_{j}") for j in range(rank)], ctx))

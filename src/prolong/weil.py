@@ -47,6 +47,16 @@ def render_value(value) -> str:
     return "(" + ", ".join(poly_to_str(s) for s in value.slots) + ")"
 
 
+def claimed(given, build, *made_from):
+    """``build(*made_from)``, or the object the caller already holds, which
+    must have been built from exactly these inputs (its ``made_from``)."""
+    if given is None:
+        return build(*made_from)
+    if given.made_from != made_from:
+        raise ValueError(f"{type(given).__name__} was built from different data")
+    return given
+
+
 class AffineScheme:
     """Affine scheme of finite type presented by ideal generators."""
 
@@ -83,8 +93,13 @@ class AffineScheme:
     def is_algebra_mode(self) -> bool:
         return self.algebra is not None
 
-    def point(self, assignment: Mapping) -> "SchemePoint":
-        return SchemePoint(self, assignment)
+    def point(self, assignment) -> "SchemePoint":
+        """The point at ``assignment``, which, if a point already, must lie here."""
+        if not isinstance(assignment, SchemePoint):
+            return SchemePoint(self, assignment)
+        if assignment.scheme is not self:
+            raise ValueError("point lies on a different scheme")
+        return assignment
 
     def __repr__(self) -> str:
         mode = f" over {self.algebra.name}" if self.algebra else ""

@@ -19,7 +19,7 @@ from helpers import (
     tensor_swap_permutation,
 )
 from prolong.scalars import GF, QQ
-from prolong.polynomials import Monomial, MultiPoly, RingContext, parse_poly
+from prolong.polynomials import Monomial, MultiPoly, RingContext, parse_poly, substitute
 from prolong.algebra import (
     ALGEBRA_RANK_BUDGET,
     AlgebraScheme,
@@ -515,3 +515,27 @@ def test_mismatches_raise_like_reference(data, algebra, field):
         assert message == raised(
             reference_evaluate_in_algebra, poly, assignment, algebra, ctx
         )
+
+
+@differential
+@given(st.data(), st.sampled_from(FIELDS), st.sampled_from(["scalar", "poly", "mixed"]))
+def test_substitute_is_evaluation_in_the_trivial_algebra(data, field, images):
+    """``substitute`` agrees with slot 0 of ``evaluate_in_algebra`` over the
+    trivial algebra once unassigned variables and base generators are
+    assigned to themselves, with scalar, polynomial or mixed images."""
+    ctx = target_ctx(field)
+    source = RingContext(field, base_gens=("t",), scheme_vars=("a", "b", "y"))
+    poly = data.draw(polys(source, max_terms=6))
+    scalar = {"scalar": "ab", "poly": "", "mixed": data.draw(st.sampled_from("ab"))}
+    assignment = {}
+    for name in ("a", "b"):
+        if name in scalar[images]:
+            num, den = data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3))
+            assignment[name] = ctx.const(Fraction(num, den))
+        else:
+            assignment[name] = data.draw(polys(ctx))
+    trivial = trivial_algebra()
+    values = {n: trivial.element(ctx, [v]) for n, v in assignment.items()}
+    values.update((n, trivial.element(ctx, [ctx.var(n)])) for n in ("y", "t"))
+    evaluated = evaluate_in_algebra(poly, values, trivial, ctx)
+    assert substitute(poly, assignment, ctx) == evaluated.slots[0]

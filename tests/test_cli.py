@@ -832,6 +832,8 @@ GP_FIXTURE = {
     "algebra": {"basis": ["1", "i"], "mult": [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]},
     "points": [{"z": "0"}],
 }
+# 3^10000 has 4,772 digits, more than str() prints of an int by default
+BIG_COEFFICIENT = {"name": "big", "vars": ["x"], "ideal": ["(3*x)^10000 - 1"]}
 
 
 @pytest.mark.parametrize(
@@ -996,6 +998,16 @@ GP_FIXTURE = {
             "bad: ideal: power 20000 of a polynomial with more than one term is"
             " above the limit 16 (at offset 5)",
         ),
+        (
+            BIG_COEFFICIENT,
+            "big: ideal: a coefficient would have more than 4300 digits, the limit"
+            " for printing an integer (at offset 5)",
+        ),
+        (
+            {"vars": ["x"], "ideal": ["(3*x)^20000000"]},
+            "bad: ideal: a coefficient would have more than 4300 digits, the limit"
+            " for printing an integer (at offset 5)",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -1035,6 +1047,8 @@ GP_FIXTURE = {
         "dim-above-the-variables",
         "dim-negative",
         "power-of-a-sum-above-the-limit",
+        "coefficient-above-the-digit-limit",
+        "one-term-power-above-the-digit-limit",
     ],
 )
 def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):
@@ -1112,11 +1126,18 @@ FLAG_FILES = {
 
 
 def test_every_command_exits_with_a_code_on_every_input(capsys, tmp_path):
-    """Every command on every shipped fixture, and on one whose power of a
-    sum is over the parser's limit, with good and malformed flag files, ends
-    in an exit code from 0 to 3 and lets no exception escape."""
-    power = tmp_path / "power_of_a_sum.json"
-    power.write_text(json.dumps({"vars": ["x"], "ideal": ["(x+1)^20000 - 1"]}))
+    """Every command on every shipped fixture, and on ones whose power of a
+    sum or coefficient is over the parser's limits, with good and malformed
+    flag files, ends in an exit code from 0 to 3 and lets no exception
+    escape."""
+    over = []
+    for name, content in (
+        ("power_of_a_sum", {"vars": ["x"], "ideal": ["(x+1)^20000 - 1"]}),
+        ("big_coefficient", BIG_COEFFICIENT),
+        ("one_term_power", {"vars": ["x"], "ideal": ["(3*x)^20000000"]}),
+    ):
+        over.append(tmp_path / f"{name}.json")
+        over[-1].write_text(json.dumps(content))
     flags = []
     for name, content in FLAG_FILES.items():
         path = tmp_path / name
@@ -1126,7 +1147,7 @@ def test_every_command_exits_with_a_code_on_every_input(capsys, tmp_path):
             path.write_text(content)
         flags.append(str(path))
     escaped, codes = [], []
-    for fixture in [*sorted(FIXTURES.glob("*.json")), power]:
+    for fixture in [*sorted(FIXTURES.glob("*.json")), *over]:
         runs = [
             ["weil"],
             ["prolong"],

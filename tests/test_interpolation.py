@@ -26,6 +26,7 @@ from prolong.algebra import (
 )
 import prolong.interpolation
 import prolong.jets
+import prolong.prolongations
 from prolong.fixtures import fixture_points, load_fixtures
 from prolong.groebner import apply_matrix, groebner, ideal_member, rank
 from prolong.interpolation import (
@@ -46,6 +47,7 @@ from prolong.polynomials import (
 )
 from prolong.prolongations import (
     compare_map,
+    nabla,
     prolong_composed,
     prolong_morphism,
 )
@@ -441,6 +443,55 @@ def test_reuse_guards_and_point_validation():
         )
     with pytest.raises(PointError):
         check_surjectivity(conic, 1, operator, {"x": 2, "y": 0}, 1)
+
+
+def held_object_calls():
+    """One call per keyword that takes an object the caller already holds,
+    passing one built from another scheme, operator or order."""
+    conic = plain_scheme(("x", "y"), ["x^2 + y^2 - 1"])
+    twin = plain_scheme(("x", "y"), ["x^2 + y^2 - 1"])
+    e, other = op(dual_numbers()), op(dual_numbers())
+    point, ident = {"x": 1, "y": 0}, PolyMorphism.identity(conic)
+    alpha, pro = [[1, 0], [0, 1]], prolong.prolongations.prolong
+    return {
+        "nabla-result": lambda: nabla(conic, e, point, result=pro(twin, e)),
+        "prolong_morphism-source_result": lambda: prolong_morphism(
+            ident, e, source_result=pro(conic, other)
+        ),
+        "prolong_morphism-target_result": lambda: prolong_morphism(
+            ident, e, target_result=pro(twin, e)
+        ),
+        "compare_map-source_result": lambda: compare_map(
+            conic, alpha, e, e, source_result=pro(twin, e)
+        ),
+        "compare_map-target_result": lambda: compare_map(
+            conic, alpha, e, e, target_result=pro(conic, other)
+        ),
+        "interpolation_map-prolongation": lambda: interpolation_map(
+            conic, 1, e, prolongation=pro(conic, other)
+        ),
+        "interpolation_map-jet": lambda: interpolation_map(
+            conic, 1, e, jet=jet_scheme(conic, 2)
+        ),
+        "jet_morphism-source_jet": lambda: jet_morphism(
+            ident, 1, source_jet=jet_scheme(twin, 1)
+        ),
+        "jet_morphism-target_jet": lambda: jet_morphism(
+            ident, 1, target_jet=jet_scheme(conic, 2)
+        ),
+        "fiber_matrices_at-interpolation": lambda: fiber_matrices_at(
+            conic, 1, e, point, interpolation=interpolation_map(twin, 1, e)
+        ),
+        "check_surjectivity-interpolation": lambda: check_surjectivity(
+            conic, 1, e, point, 1, interpolation=interpolation_map(conic, 2, e)
+        ),
+    }
+
+
+@pytest.mark.parametrize("keyword", sorted(held_object_calls()))
+def test_every_held_object_keyword_is_checked(keyword):
+    with pytest.raises(ValueError, match="different data"):
+        held_object_calls()[keyword]()
 
 
 def test_parameter_base_needs_specializing_for_fibers():

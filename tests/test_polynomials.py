@@ -288,6 +288,31 @@ def test_power_of_a_sum_is_bounded_before_it_is_expanded():
     assert parse_poly("x^2147483647", ctx).degree() == MAX_EXPONENT
 
 
+def test_coefficients_str_cannot_print_are_refused_before_they_are_built():
+    # 3^9000 has 4,295 digits and 3^9013 has 4,301; by default str() prints
+    # an int of at most 4,300
+    ctx = RingContext(QQ, scheme_vars=("x",))
+    x = ctx.var("x")
+    assert parse_poly("3^9000*x", ctx) == x * 3**9000
+    too_long = "more than 4300 digits"
+    for text, offset in (
+        ("3^9013", 1),
+        ("(1/3*x)^9013", 7),
+        ("x + 3^9000 * 3^9000", 11),
+        ("*".join(["3^9000"] * 1000), 6),
+        ("(3*x)^10000 - 1", 5),
+        ("(3*x)^20000000", 5),
+        ("3^2147483647", 1),
+    ):
+        with pytest.raises(ParseError, match=too_long) as err:
+            parse_poly(text, ctx)
+        assert err.value.offset == offset
+    top = parse_poly("(-1)^2147483647 * (1/1*x)^2147483647", ctx)
+    assert top == -(x**MAX_EXPONENT)
+    gf7 = RingContext(GF(7), scheme_vars=("x",))
+    assert parse_poly("(3*x)^20000000", gf7) == gf7.var("x") ** 20000000 * 2
+
+
 def test_substitute_and_transport():
     src = RingContext(QQ, base_gens=("t",), scheme_vars=("x",))
     tgt = RingContext(QQ, base_gens=("t",), scheme_vars=("u", "v"))
