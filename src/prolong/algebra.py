@@ -22,12 +22,15 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .polynomials import (
+    POWER_LIMIT,
     MultiPoly,
     RingContext,
     exponents_up_to,
     packed_fold,
     packed_poly,
-    packed_product,
+    packed_terms,
+    packed_times,
+    terms_poly,
 )
 
 
@@ -115,6 +118,21 @@ class AlgebraScheme:
                             f"associativity violated at (e_{i}, e_{j}, e_{m})"
                         )
 
+    def product(self, field, x: Sequence[list], y: Sequence[list]) -> list[list]:
+        """x*y for elements given as per-slot lists of (packed exponents,
+        coefficient, degree) terms, in the same form; each nonzero slot
+        product a_i*b_j is formed once."""
+        p = field.p
+        from_fraction = field.from_fraction
+        out = [{} for _ in range(self.rank)]
+        for a, row in zip(x, self.terms):
+            for b, cell in zip(y, row) if a else ():
+                if b and cell:
+                    ab = packed_times(a, b, p)
+                    for k, c in cell:
+                        packed_fold(out[k], ab, from_fraction(c))
+        return [packed_terms(acc, p) for acc in out]
+
     def _times(self, cell, m: int) -> dict:
         """Nonzero coordinates of (sum of c e_k over the cell's terms) * e_m."""
         out: dict[int, Fraction] = {}
@@ -194,19 +212,8 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_compatible(self.algebra, self.ctx, other)
         algebra, ctx = self.algebra, self.ctx
-        from_fraction = ctx.field.from_fraction
-        # one packed accumulator per output slot; each a_i*b_j is formed once
-        out = [{} for _ in range(algebra.rank)]
-        for i, a in enumerate(self.slots):
-            if not a.coeffs:
-                continue
-            row = algebra.terms[i]
-            for j, b in enumerate(other.slots):
-                if b.coeffs and row[j]:
-                    ab = packed_product(a, b)
-                    for k, c in row[j]:
-                        packed_fold(out[k], ab, from_fraction(c))
-        return AlgebraElement(algebra, ctx, tuple(packed_poly(ctx, d) for d in out))
+        out = algebra.product(ctx.field, _slot_terms(self), _slot_terms(other))
+        return AlgebraElement(algebra, ctx, tuple(terms_poly(ctx, s) for s in out))
 
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.slots)
@@ -227,47 +234,65 @@ class AlgebraElement:
         return f"<{self.algebra.name} element ({body})>"
 
 
-def evaluate_in_algebra(
-    poly: MultiPoly,
-    assignment: Mapping[str, AlgebraElement],
-    algebra: AlgebraScheme,
-    ctx: RingContext,
-) -> AlgebraElement:
-    """Ring evaluation of a polynomial with algebra-element arguments.
+def _slot_terms(value: AlgebraElement) -> list[list]:
+    """Each slot of an element as (packed exponents, coefficient, degree) terms."""
+    return [[(m.p, c, m.deg) for m, c in s.coeffs.items()] for s in value.slots]
 
-    Every variable occurring in ``poly`` must be assigned; coefficients map
-    through the unit.  Powers are built up incrementally and cached per
-    variable, and the scaled terms are summed into one packed accumulator
-    per slot.
-    """
-    if poly.ctx.field != ctx.field:
-        raise ValueError("coefficient fields differ")
-    powers: dict[str, list[AlgebraElement]] = {}
 
-    def power(name: str, e: int) -> AlgebraElement:
-        got = powers.get(name)
+class Evaluator:
+    """Ring evaluation of polynomials at algebra-element arguments, in which
+    every variable must be assigned and coefficients map through the unit.
+    Powers, cached per variable, and term products stay per-slot packed term
+    lists; powers up to POWER_LIMIT, the cheapest for dense sums, are built
+    one factor at a time, higher ones by halving.  Monomials are made once."""
+
+    __slots__ = ("assignment", "algebra", "ctx", "powers")
+
+    def __init__(
+        self,
+        assignment: Mapping[str, AlgebraElement],
+        algebra: AlgebraScheme,
+        ctx: RingContext,
+    ):
+        self.assignment, self.algebra, self.ctx = assignment, algebra, ctx
+        self.powers: dict[str, dict[int, list]] = {}
+
+    def power(self, name: str, e: int) -> list:
+        got = self.powers.get(name)
         if got is None:
-            if name not in assignment:
+            if name not in self.assignment:
                 raise ValueError(f"no algebra value assigned to {name!r}")
-            _check_compatible(algebra, ctx, assignment[name])
-            got = powers[name] = [assignment[name]]
-        while len(got) < e:
-            got.append(got[-1] * got[0])
-        return got[e - 1]
+            value = self.assignment[name]
+            _check_compatible(self.algebra, self.ctx, value)
+            got = self.powers[name] = {1: _slot_terms(value)}
+        if e not in got:
+            h = 1 if e <= POWER_LIMIT else e // 2
+            x, y = self.power(name, e - h), self.power(name, h)
+            got[e] = self.algebra.product(self.ctx.field, x, y)
+        return got[e]
 
-    names = poly.ctx.all_vars
-    out = [{} for _ in range(algebra.rank)]
-    for m, c in poly.coeffs.items():
-        term = None
-        for i, e in m.exps:
-            p = power(names[i], e)
-            term = p if term is None else term * p
-        if term is None:  # a constant term: c times the unit e_0
-            packed_fold(out[0], ((0, c, 0),), 1)
-        else:
-            for acc, s in zip(out, term.slots):
-                packed_fold(acc, [(n.p, v, n.deg) for n, v in s.coeffs.items()], c)
-    return AlgebraElement(algebra, ctx, tuple(packed_poly(ctx, d) for d in out))
+    def __call__(self, poly: MultiPoly) -> AlgebraElement:
+        algebra, ctx, power = self.algebra, self.ctx, self.power
+        if poly.ctx.field != ctx.field:
+            raise ValueError("coefficient fields differ")
+        names = poly.ctx.all_vars
+        out = [{} for _ in range(algebra.rank)]
+        for m, c in poly.coeffs.items():
+            term = None
+            for i, e in m.exps:
+                x = power(names[i], e)
+                term = x if term is None else algebra.product(ctx.field, term, x)
+            if term is None:  # a constant term: c times the unit e_0
+                packed_fold(out[0], ((0, c, 0),), 1)
+            else:
+                for acc, s in zip(out, term):
+                    packed_fold(acc, s, c)
+        return AlgebraElement(algebra, ctx, tuple(packed_poly(ctx, d) for d in out))
+
+
+def evaluate_in_algebra(poly: MultiPoly, assignment, algebra, ctx) -> AlgebraElement:
+    """One polynomial through an :class:`Evaluator`."""
+    return Evaluator(assignment, algebra, ctx)(poly)
 
 
 # -- builtins -------------------------------------------------------------------

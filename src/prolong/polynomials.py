@@ -22,6 +22,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .scalars import Field
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# str.isdigit also accepts other scripts' digits and superscripts such as "²"
+_DIGITS = frozenset("0123456789")
 
 
 MAX_EXPONENT = (1 << 31) - 1
@@ -424,12 +426,36 @@ def _products(f: MultiPoly, g: MultiPoly) -> dict[int, list]:
     return acc
 
 
-def packed_product(f: MultiPoly, g: MultiPoly) -> list[tuple[int, object, int]]:
-    """The nonzero terms of f*g as (packed exponents, coefficient, degree)."""
-    p = f.ctx.field.p
+def packed_times(f: list, g: list, p: int | None) -> list[tuple[int, object, int]]:
+    """The product of two nonempty lists of (packed exponents, coefficient,
+    degree) terms, in the same form: summed and checked like _products and
+    reduced like packed_poly.  _products keeps its own loop over the
+    Monomials it is given, as building such lists first would slow the small
+    MultiPoly products."""
+    if max(t[2] for t in f) + max(t[2] for t in g) > MAX_EXPONENT:
+        for q1, _, d1 in f:
+            for q2, _, d2 in g:
+                packed_monomial(q1, d1).mul(packed_monomial(q2, d2))
+    acc: dict[int, list] = {}
+    get, terms = acc.get, [(q, c, d, c == 1) for q, c, d in g]
+    for q1, c1, d1 in f:
+        one = c1 == 1
+        for q2, c2, d2, one2 in terms:
+            c = c2 if one else c1 if one2 else c1 * c2
+            q = q1 + q2
+            t = get(q)
+            if t is None:
+                acc[q] = [c, d1 + d2]
+            else:
+                t[0] += c
+    return packed_terms(acc, p)
+
+
+def packed_terms(acc: dict[int, list], p: int | None) -> list[tuple[int, object, int]]:
+    """The nonzero terms of an accumulator, reduced into the field."""
     if p is None:
-        return [(q, c, d) for q, (c, d) in _products(f, g).items() if c]
-    return [(q, r, d) for q, (c, d) in _products(f, g).items() if (r := c % p)]
+        return [(q, c, d) for q, (c, d) in acc.items() if c]
+    return [(q, r, d) for q, (c, d) in acc.items() if (r := c % p)]
 
 
 def packed_fold(
@@ -462,6 +488,11 @@ def packed_poly(ctx: RingContext, acc: dict[int, list]) -> MultiPoly:
         for q, (c, d) in acc.items()
         if (r := c % p)
     })
+
+
+def terms_poly(ctx: RingContext, terms: list[tuple[int, object, int]]) -> MultiPoly:
+    """The polynomial of nonzero (packed exponents, coefficient, degree) terms."""
+    return _poly(ctx, {packed_monomial(q, d): c for q, c, d in terms})
 
 
 # -- printing ----------------------------------------------------------------
@@ -619,7 +650,7 @@ class _Parser:
                 raise self.error("expected ')'")
             self.pos += 1
             return value
-        if ch.isdigit() or ch == "-":
+        if ch in _DIGITS or ch == "-":
             return self.parse_rational()
         if ch.isalpha():
             start = self.pos
@@ -642,24 +673,32 @@ class _Parser:
             self.pos += 1
         return self.text[start : self.pos]
 
+    def digits(self) -> str:
+        """The ASCII digits at the cursor; int() reads at most STR_DIGITS."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+            self.pos += 1
+        if STR_DIGITS and self.pos - start > STR_DIGITS:
+            raise ParseError(
+                f"a number with more than {STR_DIGITS} digits, the limit for"
+                " reading an integer",
+                start,
+            )
+        return self.text[start : self.pos]
+
     def parse_uint(self) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        digits = self.digits()
+        if not digits:
             raise self.error("expected an unsigned integer")
-        return int(self.text[start : self.pos])
+        return int(digits)
 
     def parse_rational(self) -> MultiPoly:
         self.skip_ws()
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        num_start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == num_start:
+        if not self.digits():
             raise self.error("expected digits")
         num = int(self.text[start : self.pos])
         den = 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraElement, AlgebraScheme, evaluate_in_algebra
+from .algebra import AlgebraElement, AlgebraScheme, Evaluator, trivial_algebra
 from .groebner import first_nonmember
 from .polynomials import MultiPoly, RingContext, poly_to_str, substitute, transport
 
@@ -208,25 +208,28 @@ def generic_point(
     }
 
 
+def _evaluator(
+    values: Mapping[str, AlgebraElement], algebra: AlgebraScheme, ctx: RingContext
+):
+    """Evaluation at the values, with the base generators sent through the unit."""
+    base = {g: algebra.scalar(ctx, ctx.var(g)) for g in ctx.base_gens}
+    return Evaluator({**base, **values}, algebra, ctx)
+
+
 def _evaluate_generators(
     scheme: AffineScheme, values: Mapping[str, AlgebraElement], ctx: RingContext
 ) -> list[AlgebraElement]:
-    """Every algebra-mode generator at the values: sum_j slot_j(values) e_j,
-    with the base generators sent through the unit."""
+    """Every algebra-mode generator at the values: sum_j slot_j(values) e_j."""
     algebra, rank = scheme.algebra, scheme.algebra.rank
-    full = dict(values)
-    for g in ctx.base_gens:
-        full[g] = algebra.scalar(ctx, ctx.var(g))
+    evaluate = _evaluator(values, algebra, ctx)
     basis = [
         algebra.element(ctx, [int(k == j) for k in range(rank)]) for j in range(rank)
     ]
-    out = []
-    for gen in scheme.generators:
-        total = algebra.element(ctx, [0] * rank)
-        for slot, ej in zip(gen.slots, basis):
-            total = total + evaluate_in_algebra(slot, full, algebra, ctx) * ej
-        out.append(total)
-    return out
+    zero = algebra.element(ctx, [0] * rank)
+    return [
+        sum((evaluate(s) * ej for s, ej in zip(gen.slots, basis)), zero)
+        for gen in scheme.generators
+    ]
 
 
 def weil_restrict(scheme: AffineScheme, algebra: AlgebraScheme) -> AffineScheme:
@@ -245,6 +248,16 @@ def weil_restrict(scheme: AffineScheme, algebra: AlgebraScheme) -> AffineScheme:
 
 
 # -- morphisms --------------------------------------------------------------------
+
+_TRIVIAL = trivial_algebra()
+
+
+def _evaluate(polys, assignment: Mapping[str, MultiPoly], ctx: RingContext) -> list:
+    """Each polynomial at the images in ``assignment``, which lie in ``ctx``,
+    with the base generators kept: evaluation in the trivial algebra."""
+    images = {n: AlgebraElement(_TRIVIAL, ctx, (v,)) for n, v in assignment.items()}
+    evaluate = _evaluator(images, _TRIVIAL, ctx)
+    return [evaluate(p).slots[0] for p in polys]
 
 
 class PolyMorphism:
@@ -283,19 +296,18 @@ class PolyMorphism:
 
     def pullback(self, poly: MultiPoly) -> MultiPoly:
         """Image of a target-ring polynomial in the source ring."""
-        return substitute(poly, self.assignment, self.source.ctx)
+        return _evaluate([poly], self.assignment, self.source.ctx)[0]
 
     def is_morphism(self) -> bool:
-        pulled = [self.pullback(g) for g in self.target.generators]
+        pulled = _evaluate(self.target.generators, self.assignment, self.source.ctx)
         return first_nonmember(pulled, self.source.generators) is None
 
     def apply_to_point(self, point: SchemePoint) -> SchemePoint:
         if point.scheme is not self.source and point.scheme.ctx != self.source.ctx:
             raise ValueError("point does not lie on the source scheme")
-        values = {}
-        for name, poly in self.assignment.items():
-            image = substitute(poly, point.assignment, self.source.ctx)
-            values[name] = transport(image, self.target.ctx)
+        images = _evaluate(self.assignment.values(), point.assignment, self.source.ctx)
+        target = self.target.ctx
+        values = {n: transport(v, target) for n, v in zip(self.assignment, images)}
         return SchemePoint(self.target, values)
 
     def compose(self, inner: "PolyMorphism") -> "PolyMorphism":
@@ -303,10 +315,8 @@ class PolyMorphism:
         maps X -> Z."""
         if inner.target.ctx != self.source.ctx:
             raise ValueError("composition mismatch: inner target is not the source")
-        assignment = {
-            name: substitute(poly, inner.assignment, inner.source.ctx)
-            for name, poly in self.assignment.items()
-        }
+        images = _evaluate(self.assignment.values(), inner.assignment, inner.source.ctx)
+        assignment = dict(zip(self.assignment, images))
         return PolyMorphism(inner.source, self.target, assignment)
 
     @staticmethod

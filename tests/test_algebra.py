@@ -416,9 +416,24 @@ def test_evaluate_in_algebra_gf():
     assert value.slots[0] == ctx.var("x") ** 5
 
 
+def test_structure_constants_are_read_in_the_field():
+    """e_1 * e_1 = -3/2 e_1 in dring(-3/2), and -3/2 is 2 in GF(7), both in
+    the packed product and in evaluation."""
+    gf7 = GF(7)
+    ctx = RingContext(gf7, scheme_vars=("x",))
+    d = dring_algebra(Fraction(-3, 2))
+    x = ctx.var("x")
+    e = d.element(ctx, [0, x])
+    assert (e * e).slots == (ctx.zero(), x**2 * 2)
+    assert d.product(gf7, [[], [(1, 1, 1)]], [[], [(1, 1, 1)]]) == [[], [(2, 2, 2)]]
+    cube = evaluate_in_algebra(x**3, {"x": e}, d, ctx)
+    assert cube.slots == (ctx.zero(), x**3 * 4)
+
+
 # -- differential tests against the term-by-term reference arithmetic ---------
 
 ALGEBRAS = [
+    dual_numbers(),
     truncated_algebra(1, 3),
     truncated_algebra(2, 2),
     product_algebra(3),
@@ -482,6 +497,23 @@ def test_product_matches_the_slotwise_reference(data, algebra, field):
     assert [list(s.coeffs.items()) for s in got.slots] == [
         list(s.coeffs.items()) for s in want.slots
     ]
+
+
+def slot_terms(value) -> list:
+    return [[(m.p, c, m.deg) for m, c in s.coeffs.items()] for s in value.slots]
+
+
+@differential
+@given(st.data(), st.sampled_from(ALGEBRAS), st.sampled_from(FIELDS))
+def test_packed_product_matches_the_slotwise_reference(data, algebra, field):
+    """The structure-constant product that evaluation chains on per-slot
+    (packed exponents, coefficient, degree) lists gives each slot's reduced
+    terms in the slotwise reference's order."""
+    ctx = target_ctx(field)
+    a = data.draw(elements(algebra, ctx))
+    b = data.draw(elements(algebra, ctx))
+    got = algebra.product(field, slot_terms(a), slot_terms(b))
+    assert got == slot_terms(reference_slot_mul(a, b))
 
 
 @differential

@@ -1008,6 +1008,19 @@ BIG_COEFFICIENT = {"name": "big", "vars": ["x"], "ideal": ["(3*x)^10000 - 1"]}
             "bad: ideal: a coefficient would have more than 4300 digits, the limit"
             " for printing an integer (at offset 5)",
         ),
+        (
+            {"vars": ["x"], "ideal": ["x^\u00b2"]},
+            "bad: ideal: expected an unsigned integer (at offset 2)",
+        ),
+        (
+            {"vars": ["x"], "ideal": ["\u00b2"]},
+            "bad: ideal: expected a number, variable, or '(' (at offset 0)",
+        ),
+        (
+            {"vars": ["x"], "ideal": ["x - " + "7" * 5000]},
+            "bad: ideal: a number with more than 4300 digits, the limit for"
+            " reading an integer (at offset 4)",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -1049,6 +1062,9 @@ BIG_COEFFICIENT = {"name": "big", "vars": ["x"], "ideal": ["(3*x)^10000 - 1"]}
         "power-of-a-sum-above-the-limit",
         "coefficient-above-the-digit-limit",
         "one-term-power-above-the-digit-limit",
+        "superscript-exponent",
+        "superscript-digit",
+        "literal-above-the-digit-limit",
     ],
 )
 def test_malformed_fixture_exits_two_without_traceback(tmp_path, content, message):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -311,6 +312,27 @@ def test_coefficients_str_cannot_print_are_refused_before_they_are_built():
     assert top == -(x**MAX_EXPONENT)
     gf7 = RingContext(GF(7), scheme_vars=("x",))
     assert parse_poly("(3*x)^20000000", gf7) == gf7.var("x") ** 20000000 * 2
+
+
+def test_only_ascii_digits_and_readable_literals_parse():
+    """A digit of another script or a superscript, and a literal with more
+    digits than int() reads, are parse errors that name their offset."""
+    ctx = RingContext(QQ, scheme_vars=("x",))
+    long = "7" * 5000
+    for text, offset, message in (
+        ("x^\u00b2", 2, "expected an unsigned integer"),
+        ("\u00b2", 0, "expected a number, variable, or '('"),
+        ("x^\u0663", 2, "expected an unsigned integer"),  # Arabic-Indic three
+        ("2*\u0663", 2, "expected a number, variable, or '('"),
+        (long, 0, "more than 4300 digits, the limit for reading an integer"),
+        (f"-{long}*x", 1, "more than 4300 digits"),
+        (f"1/{long}", 2, "more than 4300 digits"),
+        (f"x^{long}", 2, "more than 4300 digits"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_poly(text, ctx)
+        assert err.value.offset == offset
+    assert parse_poly("7" * 4300, ctx) == ctx.const(int("7" * 4300))
 
 
 def test_substitute_and_transport():

@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     base_change_along,
@@ -10,12 +13,15 @@ from helpers import (
     point_up,
     specialize_base,
 )
-from prolong.scalars import QQ
+from prolong.scalars import GF, QQ
 from prolong.polynomials import (
+    Monomial,
+    MultiPoly,
     RingContext,
     parse_poly,
     poly_to_str,
     random_poly,
+    substitute,
     transport,
 )
 from prolong.algebra import (
@@ -309,3 +315,100 @@ def test_morphism_equals_mod_ideal():
     assert g1.equals_mod_ideal(g2)
     g3 = PolyMorphism(parabola, line, {"u": ctx.var("x")})
     assert not g1.equals_mod_ideal(g3)
+
+
+# -- morphisms against the substitute route -----------------------------------
+
+FIELDS = [QQ, GF(7)]
+
+
+@st.composite
+def polys(draw, ctx, names, max_terms=4):
+    """A polynomial of degree at most 3 in the named variables."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        chosen = draw(st.lists(st.sampled_from(names), max_size=3))
+        m = Monomial(Counter(ctx.var_index(n) for n in chosen).items())
+        c = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        terms[m] = ctx.field.coerce(c)
+    return MultiPoly(ctx, terms)
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), st.sampled_from(["scalar", "poly", "mixed"]))
+def test_morphisms_evaluate_like_substitute(data, field, images):
+    """pullback, compose and apply_to_point, which evaluate in the trivial
+    algebra, agree with substitute, the base generator kept, when the
+    morphism's images and the point's coordinates are scalars, polynomials
+    or a mix of both."""
+    src = RingContext(field, base_gens=("t",), scheme_vars=("u", "v"))
+    mid = RingContext(field, base_gens=("t",), scheme_vars=("x", "y"))
+    top = RingContext(field, base_gens=("t",), scheme_vars=("z",))
+    mixed = data.draw(st.sampled_from(["ux", "uy", "vx", "vy"]))
+    scalar = {"scalar": "uvxy", "poly": "", "mixed": mixed}[images]
+
+    def value(name, ctx, names):
+        if name in scalar:
+            num, den = data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3))
+            return ctx.const(Fraction(num, den))
+        return data.draw(polys(ctx, names))
+
+    source, middle = AffineScheme(src, []), AffineScheme(mid, [])
+    f = PolyMorphism(source, middle, {n: value(n, src, "uvt") for n in "xy"})
+    g = PolyMorphism(middle, AffineScheme(top, []), {"z": data.draw(polys(mid, "xyt"))})
+    poly = data.draw(polys(mid, "xyt", max_terms=6))
+    assert f.pullback(poly) == substitute(poly, f.assignment, src)
+    composed = g.compose(f).assignment
+    assert composed == {"z": substitute(g.assignment["z"], f.assignment, src)}
+    point = source.point({n: value(n, src, "t") for n in "uv"})
+    image = f.apply_to_point(point).assignment
+    assert image == {
+        n: transport(substitute(f.assignment[n], point.assignment, src), mid)
+        for n in "xy"
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_morphisms_raise_like_substitute_above_the_exponent_limit(field):
+    """A power over MAX_EXPONENT raises substitute's ValueError in every
+    morphism route, whether the exponent comes from an image or from the
+    kept base generator; just below the limit the routes agree."""
+    src = RingContext(field, base_gens=("t",), scheme_vars=("u",))
+    mid = RingContext(field, base_gens=("t",), scheme_vars=("x", "y"))
+    top = RingContext(field, base_gens=("t",), scheme_vars=("z",))
+    source, middle = AffineScheme(src, []), AffineScheme(mid, [])
+    images = {"x": parse_poly("u^2", src), "y": parse_poly("u*t", src)}
+    f = PolyMorphism(source, middle, images)
+    limit = "monomial exponent above the limit 2147483647 (2**31 - 1)"
+    # a power, a product of two images' powers, and the base generator's power
+    for text in ("x^1073741824", "x^1073741823 * y^2", "t^2147483647 * y"):
+        poly = parse_poly(text, mid)
+        message = raised(substitute, poly, f.assignment, src)
+        assert message == limit
+        assert raised(f.pullback, poly) == message
+        g = PolyMorphism(middle, AffineScheme(top, []), {"z": poly})
+        assert raised(g.compose, f) == message
+    big = PolyMorphism(source, middle, {"x": parse_poly("u^1073741824", src), "y": 0})
+    point = source.point({"u": parse_poly("t^2", src)})
+    assert raised(big.apply_to_point, point) == limit
+    poly = parse_poly("x^1073741823 * y * t^2147483646", mid)
+    assert f.pullback(poly) == substitute(poly, f.assignment, src)
+
+
+def test_a_target_variable_may_share_its_name_with_a_source_base_generator():
+    """The images of the target variables win over the kept base generators:
+    a target coordinate named t pulls back to its image, not to the source's
+    base generator t."""
+    src = RingContext(QQ, base_gens=("t",), scheme_vars=("u",))
+    tgt = RingContext(QQ, scheme_vars=("t",))
+    images = {"t": src.var("u") ** 2}
+    f = PolyMorphism(AffineScheme(src, []), AffineScheme(tgt, []), images)
+    poly = parse_poly("t^3 + t", tgt)
+    assert f.pullback(poly) == substitute(poly, f.assignment, src)
+    assert f.pullback(poly) == parse_poly("u^6 + u^2", src)
