@@ -22,14 +22,13 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .polynomials import (
-    POWER_LIMIT,
     MultiPoly,
     RingContext,
     exponents_up_to,
     packed_fold,
     packed_poly,
+    packed_products,
     packed_terms,
-    packed_times,
     terms_poly,
 )
 
@@ -119,19 +118,24 @@ class AlgebraScheme:
                         )
 
     def product(self, field, x: Sequence[list], y: Sequence[list]) -> list[list]:
-        """x*y for elements given as per-slot lists of (packed exponents,
-        coefficient, degree) terms, in the same form; each nonzero slot
-        product a_i*b_j is formed once."""
-        p = field.p
-        from_fraction = field.from_fraction
-        out = [{} for _ in range(self.rank)]
+        """x*y on per-slot packed term lists; each nonzero a_i*b_j is made once."""
+        p, out = field.p, [{} for _ in range(self.rank)]
         for a, row in zip(x, self.terms):
             for b, cell in zip(y, row) if a else ():
                 if b and cell:
-                    ab = packed_times(a, b, p)
+                    ab = packed_terms(packed_products(a, b), p)
                     for k, c in cell:
-                        packed_fold(out[k], ab, from_fraction(c))
+                        packed_fold(out[k], ab, field.from_fraction(c))
         return [packed_terms(acc, p) for acc in out]
+
+    def power(self, field, got: dict[int, list], e: int) -> list:
+        """x^e from the cache ``got`` of x's powers: x^(e-1)*x up to e = 16
+        (every exponent the fixtures use), halves of e above it."""
+        if e not in got:
+            h = 1 if e <= 16 else e // 2
+            x, y = self.power(field, got, e - h), self.power(field, got, h)
+            got[e] = self.product(field, x, y)
+        return got[e]
 
     def _times(self, cell, m: int) -> dict:
         """Nonzero coordinates of (sum of c e_k over the cell's terms) * e_m."""
@@ -239,60 +243,39 @@ def _slot_terms(value: AlgebraElement) -> list[list]:
     return [[(m.p, c, m.deg) for m, c in s.coeffs.items()] for s in value.slots]
 
 
-class Evaluator:
-    """Ring evaluation of polynomials at algebra-element arguments, in which
-    every variable must be assigned and coefficients map through the unit.
-    Powers, cached per variable, and term products stay per-slot packed term
-    lists; powers up to POWER_LIMIT, the cheapest for dense sums, are built
-    one factor at a time, higher ones by halving.  Monomials are made once."""
+def evaluator(assignment: Mapping, algebra: AlgebraScheme, ctx: RingContext):
+    """Ring evaluation at algebra values of every variable occurring, on per-slot
+    packed term lists; coefficients map through the unit, powers are cached per
+    variable, and each Monomial is made once."""
+    field, powers, unit = ctx.field, {}, [[(0, 1, 0)]] + [[]] * (algebra.rank - 1)
 
-    __slots__ = ("assignment", "algebra", "ctx", "powers")
-
-    def __init__(
-        self,
-        assignment: Mapping[str, AlgebraElement],
-        algebra: AlgebraScheme,
-        ctx: RingContext,
-    ):
-        self.assignment, self.algebra, self.ctx = assignment, algebra, ctx
-        self.powers: dict[str, dict[int, list]] = {}
-
-    def power(self, name: str, e: int) -> list:
-        got = self.powers.get(name)
-        if got is None:
-            if name not in self.assignment:
+    def power(name: str, e: int) -> list:
+        if name not in powers:
+            if name not in assignment:
                 raise ValueError(f"no algebra value assigned to {name!r}")
-            value = self.assignment[name]
-            _check_compatible(self.algebra, self.ctx, value)
-            got = self.powers[name] = {1: _slot_terms(value)}
-        if e not in got:
-            h = 1 if e <= POWER_LIMIT else e // 2
-            x, y = self.power(name, e - h), self.power(name, h)
-            got[e] = self.algebra.product(self.ctx.field, x, y)
-        return got[e]
+            _check_compatible(algebra, ctx, assignment[name])
+            powers[name] = {1: _slot_terms(assignment[name])}
+        return algebra.power(field, powers[name], e)
 
-    def __call__(self, poly: MultiPoly) -> AlgebraElement:
-        algebra, ctx, power = self.algebra, self.ctx, self.power
-        if poly.ctx.field != ctx.field:
+    def evaluate(poly: MultiPoly) -> AlgebraElement:
+        if poly.ctx.field != field:
             raise ValueError("coefficient fields differ")
-        names = poly.ctx.all_vars
-        out = [{} for _ in range(algebra.rank)]
+        names, out = poly.ctx.all_vars, [{} for _ in range(algebra.rank)]
         for m, c in poly.coeffs.items():
-            term = None
+            term = unit
             for i, e in m.exps:
                 x = power(names[i], e)
-                term = x if term is None else algebra.product(ctx.field, term, x)
-            if term is None:  # a constant term: c times the unit e_0
-                packed_fold(out[0], ((0, c, 0),), 1)
-            else:
-                for acc, s in zip(out, term):
-                    packed_fold(acc, s, c)
+                term = x if term is unit else algebra.product(field, term, x)
+            for acc, s in zip(out, term):
+                packed_fold(acc, s, c)
         return AlgebraElement(algebra, ctx, tuple(packed_poly(ctx, d) for d in out))
+
+    return evaluate
 
 
 def evaluate_in_algebra(poly: MultiPoly, assignment, algebra, ctx) -> AlgebraElement:
-    """One polynomial through an :class:`Evaluator`."""
-    return Evaluator(assignment, algebra, ctx)(poly)
+    """One polynomial through an :func:`evaluator`."""
+    return evaluator(assignment, algebra, ctx)(poly)
 
 
 # -- builtins -------------------------------------------------------------------

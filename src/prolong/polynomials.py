@@ -399,56 +399,34 @@ def _poly(ctx: RingContext, coeffs: dict[Monomial, object]) -> MultiPoly:
 
 
 def _products(f: MultiPoly, g: MultiPoly) -> dict[int, list]:
-    """The term products of f and g summed into a new accumulator.  When the
-    largest degrees of f and g sum past MAX_EXPONENT, Monomial.mul checks
-    every product first and raises on an exponent overflow.  A coefficient 1
-    is not multiplied: most symbolic terms have one, and a Fraction product
-    costs more than the test."""
-    acc: dict[int, list] = {}
+    """The term products of f and g summed into a new accumulator."""
     if not f.coeffs or not g.coeffs:
-        return acc
-    terms = [(m.p, m.deg, c, c == 1) for m, c in g.coeffs.items()]
-    if max(m.deg for m in f.coeffs) + max(t[1] for t in terms) > MAX_EXPONENT:
-        for m1 in f.coeffs:
-            for m2 in g.coeffs:
-                m1.mul(m2)
-    get = acc.get
-    for m1, c1 in f.coeffs.items():
-        p1, d1, one = m1.p, m1.deg, c1 == 1
-        for p2, d2, c2, one2 in terms:
-            c = c2 if one else c1 if one2 else c1 * c2
+        return {}
+    return packed_products(
+        ((m.p, c, m.deg) for m, c in f.coeffs.items()),
+        ((m.p, c, m.deg) for m, c in g.coeffs.items()),
+    )
+
+
+def packed_products(f: Iterable[tuple], g: Iterable[tuple]) -> dict[int, list]:
+    """The term products of f and g, runs of (packed exponents, coefficient,
+    degree) terms, summed into a new accumulator.  Monomial.mul checks each
+    new key of degree over MAX_EXPONENT, as only an overflow sets a guard
+    bit.  A coefficient 1 is not multiplied: a Fraction product costs more."""
+    acc: dict[int, list] = {}
+    get, terms = acc.get, [(q, c, d, c == 1) for q, c, d in g]
+    for p1, c1, d1 in f:
+        for p2, c2, d2, one2 in terms:
+            c = c1 if one2 else c2 if c1 == 1 else c1 * c2
             q = p1 + p2
             t = get(q)
             if t is None:
+                if d1 + d2 > MAX_EXPONENT:
+                    packed_monomial(p1, d1).mul(packed_monomial(p2, d2))
                 acc[q] = [c, d1 + d2]
             else:
                 t[0] += c
     return acc
-
-
-def packed_times(f: list, g: list, p: int | None) -> list[tuple[int, object, int]]:
-    """The product of two nonempty lists of (packed exponents, coefficient,
-    degree) terms, in the same form: summed and checked like _products and
-    reduced like packed_poly.  _products keeps its own loop over the
-    Monomials it is given, as building such lists first would slow the small
-    MultiPoly products."""
-    if max(t[2] for t in f) + max(t[2] for t in g) > MAX_EXPONENT:
-        for q1, _, d1 in f:
-            for q2, _, d2 in g:
-                packed_monomial(q1, d1).mul(packed_monomial(q2, d2))
-    acc: dict[int, list] = {}
-    get, terms = acc.get, [(q, c, d, c == 1) for q, c, d in g]
-    for q1, c1, d1 in f:
-        one = c1 == 1
-        for q2, c2, d2, one2 in terms:
-            c = c2 if one else c1 if one2 else c1 * c2
-            q = q1 + q2
-            t = get(q)
-            if t is None:
-                acc[q] = [c, d1 + d2]
-            else:
-                t[0] += c
-    return packed_terms(acc, p)
 
 
 def packed_terms(acc: dict[int, list], p: int | None) -> list[tuple[int, object, int]]:
@@ -458,9 +436,7 @@ def packed_terms(acc: dict[int, list], p: int | None) -> list[tuple[int, object,
     return [(q, r, d) for q, (c, d) in acc.items() if (r := c % p)]
 
 
-def packed_fold(
-    acc: dict[int, list], terms: Iterable[tuple[int, object, int]], c
-) -> None:
+def packed_fold(acc: dict[int, list], terms: Iterable[tuple], c) -> None:
     """Add c times each (packed exponents, coefficient, degree) term into acc."""
     get, scaled = acc.get, c != 1
     for q, v, d in terms:

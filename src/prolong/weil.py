@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .algebra import AlgebraElement, AlgebraScheme, Evaluator, trivial_algebra
+from .algebra import AlgebraElement, AlgebraScheme, evaluator, trivial_algebra
 from .groebner import first_nonmember
 from .polynomials import MultiPoly, RingContext, poly_to_str, substitute, transport
 
@@ -208,20 +208,13 @@ def generic_point(
     }
 
 
-def _evaluator(
-    values: Mapping[str, AlgebraElement], algebra: AlgebraScheme, ctx: RingContext
-):
-    """Evaluation at the values, with the base generators sent through the unit."""
-    base = {g: algebra.scalar(ctx, ctx.var(g)) for g in ctx.base_gens}
-    return Evaluator({**base, **values}, algebra, ctx)
-
-
 def _evaluate_generators(
     scheme: AffineScheme, values: Mapping[str, AlgebraElement], ctx: RingContext
 ) -> list[AlgebraElement]:
     """Every algebra-mode generator at the values: sum_j slot_j(values) e_j."""
     algebra, rank = scheme.algebra, scheme.algebra.rank
-    evaluate = _evaluator(values, algebra, ctx)
+    base = {g: algebra.scalar(ctx, ctx.var(g)) for g in ctx.base_gens}
+    evaluate = evaluator({**values, **base}, algebra, ctx)
     basis = [
         algebra.element(ctx, [int(k == j) for k in range(rank)]) for j in range(rank)
     ]
@@ -253,10 +246,10 @@ _TRIVIAL = trivial_algebra()
 
 
 def _evaluate(polys, assignment: Mapping[str, MultiPoly], ctx: RingContext) -> list:
-    """Each polynomial at the images in ``assignment``, which lie in ``ctx``,
-    with the base generators kept: evaluation in the trivial algebra."""
-    images = {n: AlgebraElement(_TRIVIAL, ctx, (v,)) for n, v in assignment.items()}
-    evaluate = _evaluator(images, _TRIVIAL, ctx)
+    """The polynomials at the images, base generators kept, in the trivial algebra."""
+    images = {**{g: ctx.var(g) for g in ctx.base_gens}, **assignment}
+    trivial = {n: AlgebraElement(_TRIVIAL, ctx, (v,)) for n, v in images.items()}
+    evaluate = evaluator(trivial, _TRIVIAL, ctx)
     return [evaluate(p).slots[0] for p in polys]
 
 
@@ -306,9 +299,8 @@ class PolyMorphism:
         if point.scheme is not self.source and point.scheme.ctx != self.source.ctx:
             raise ValueError("point does not lie on the source scheme")
         images = _evaluate(self.assignment.values(), point.assignment, self.source.ctx)
-        target = self.target.ctx
-        values = {n: transport(v, target) for n, v in zip(self.assignment, images)}
-        return SchemePoint(self.target, values)
+        values = [transport(v, self.target.ctx) for v in images]
+        return SchemePoint(self.target, dict(zip(self.assignment, values)))
 
     def compose(self, inner: "PolyMorphism") -> "PolyMorphism":
         """self after inner: for inner: X -> Y and self: Y -> Z, the result

@@ -1,10 +1,7 @@
-"""Hypothesis profiles.  ``HYPOTHESIS_PROFILE=ci`` draws the same examples on
-every run and prints a reproduction blob for a failure; without it, runs
+"""Hypothesis profiles.  ``--hypothesis-profile=ci`` draws the same examples
+on every run and prints a reproduction blob for a failure; without it, runs
 stay random."""
-
-import os
 
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
