@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .algebra import AlgebraElement, AlgebraScheme, evaluate_in_algebra, tensor
+from .algebra import AlgebraElement, AlgebraScheme, evaluator, tensor
 from .polynomials import MultiPoly, RingContext, poly_to_str, random_poly, transport
 
 
@@ -26,9 +27,11 @@ class RingOperator:
 
     The context must be base-only (no scheme variables); every base generator
     needs an image.  Field constants always map through the unit slot.
+    ``images`` is read-only: one evaluator over it caches the powers of every
+    image across all extensions.
     """
 
-    __slots__ = ("algebra", "ctx", "images")
+    __slots__ = ("algebra", "ctx", "images", "_evaluate", "__weakref__")
 
     def __init__(
         self,
@@ -51,7 +54,8 @@ class RingOperator:
                 raise ValueError(f"image of {g!r} uses a different context")
         self.algebra = algebra
         self.ctx = ctx
-        self.images = dict(images)
+        self.images = MappingProxyType(dict(images))
+        self._evaluate = evaluator(self.images, algebra, ctx)
 
     def extend(self, poly: MultiPoly) -> AlgebraElement:
         """Ring-homomorphism extension to any base-ring polynomial."""
@@ -67,7 +71,7 @@ class RingOperator:
                     " base generators"
                 )
             poly = transport(poly, self.ctx)
-        return evaluate_in_algebra(poly, self.images, self.algebra, self.ctx)
+        return self._evaluate(poly)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{g} -> {v!r}" for g, v in sorted(self.images.items()))
@@ -82,25 +86,26 @@ def standard_operator(algebra: AlgebraScheme, ctx: RingContext) -> RingOperator:
 
 class OperatorFamily:
     """Slot-projection view of an operator: maps D_i with D_i(P) = e(P)_i.
-    The maps share one extension of the last polynomial they were given."""
+    The maps share one extension of the last polynomial they were given.
+    They close over that memo, not over the family, so no reference cycle
+    keeps the operator and its power cache alive after the family."""
 
-    __slots__ = ("operator", "maps", "labels", "_last")
+    __slots__ = ("operator", "maps", "labels")
 
     def __init__(self, operator: RingOperator):
         self.operator = operator
-        self._last: tuple[MultiPoly | None, AlgebraElement | None] = (None, None)
+        last: list = [None, None]
+
+        def extend(poly: MultiPoly) -> AlgebraElement:
+            if last[0] is not poly:
+                last[:] = poly, operator.extend(poly)
+            return last[1]
+
         self.maps = [
-            lambda poly, i=i: self._extend(poly).slots[i]
+            lambda poly, i=i: extend(poly).slots[i]
             for i in range(operator.algebra.rank)
         ]
         self.labels = operator.algebra.labels
-
-    def _extend(self, poly: MultiPoly) -> AlgebraElement:
-        last, image = self._last
-        if last is not poly:
-            image = self.operator.extend(poly)
-            self._last = (poly, image)
-        return image
 
     def __len__(self) -> int:
         return len(self.maps)

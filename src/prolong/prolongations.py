@@ -8,16 +8,12 @@ and point values are each expanded once through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping
 
-from .algebra import (
-    AlgebraElement,
-    AlgebraScheme,
-    _fractionize,
-    evaluate_in_algebra,
-)
+from .algebra import AlgebraElement, AlgebraScheme, _fractionize, evaluator
 from .operators import RingOperator, compose_operators
 from .polynomials import MultiPoly, RingContext, transport
 from .weil import AffineScheme, PolyMorphism, SchemePoint, claimed, generic_point
@@ -31,6 +27,8 @@ class Prolongation:
     x_i -> sum_j x_i_j e_j on the original variables, whose slots are the new
     coordinates, and t -> e(t) on the base generators.  On the variables it
     is also the pullback of the canonical map back to the original scheme.
+    It is read-only: ``evaluate``, the one evaluator over it, caches the
+    powers of its values across every expansion.
     """
 
     scheme: AffineScheme
@@ -38,6 +36,7 @@ class Prolongation:
     algebra: AlgebraScheme
     operator: RingOperator
     substitution: Mapping[str, AlgebraElement]
+    evaluate: Callable[[MultiPoly], AlgebraElement] = field(compare=False, repr=False)
 
     @property
     def ctx(self) -> RingContext:
@@ -50,7 +49,7 @@ class Prolongation:
     def expand(self, poly: MultiPoly) -> AlgebraElement:
         """A polynomial over the source, or a base-ring value, through the
         ring map ``substitution``."""
-        return evaluate_in_algebra(poly, self.substitution, self.algebra, self.ctx)
+        return self.evaluate(poly)
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,13 @@ def prolong(scheme: AffineScheme, operator: RingOperator) -> Prolongation:
     for g, value in operator.images.items():
         slots = tuple(transport(s, ctx) for s in value.slots)
         substitution[g] = AlgebraElement(operator.algebra, ctx, slots)
-    generators = [
-        s
-        for gen in scheme.generators
-        for s in evaluate_in_algebra(gen, substitution, operator.algebra, ctx).slots
-    ]
+    substitution = MappingProxyType(substitution)
+    evaluate = evaluator(substitution, operator.algebra, ctx)
+    generators = [s for gen in scheme.generators for s in evaluate(gen).slots]
     restricted = AffineScheme(ctx, generators)
-    return Prolongation(restricted, scheme, operator.algebra, operator, substitution)
+    return Prolongation(
+        restricted, scheme, operator.algebra, operator, substitution, evaluate
+    )
 
 
 def _slotwise(values) -> dict:

@@ -600,6 +600,23 @@ def test_surjectivity_reports_match_the_recorded_digests(capsys, seed):
     assert hashlib.sha256(out.encode()).hexdigest() == SURJECTIVITY_DIGESTS[seed]
 
 
+# sha256 of `check --input fixtures --format text --trials 10` per seed: the
+# text report, every suite in one run, stays byte-identical as well
+TEXT_REPORT_DIGESTS = {
+    0: "9e0aa947237f4dc26cc097872bcfee1e7727a8a8b2336271e03bd03315e067e8",
+    1: "c6576dc1901e02675a89f717ae28acd2d96fb726464125294e46bce49fcb75b2",
+    2: "b43278b23f7a043455edf54e63f8fce165834e784fde710a881bfcfc518de47b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TEXT_REPORT_DIGESTS))
+def test_text_reports_match_the_recorded_digests(capsys, seed):
+    args = ("check", "--input", FIXTURES, "--seed", seed, "--trials", 10)
+    code, out = run_cli(capsys, *args, "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_REPORT_DIGESTS[seed]
+
+
 def test_expected_failures_keep_the_suite_green(capsys):
     code, payload = run_json(
         capsys, "check", "--suite", "hasse_axioms", "--input", FIXTURES

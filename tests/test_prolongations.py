@@ -1,6 +1,8 @@
 import ast
+import gc
 import importlib
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from prolong.algebra import (
     dring_algebra,
     dual_numbers,
+    evaluate_in_algebra,
     product_algebra,
     tensor,
     trivial_algebra,
@@ -25,7 +28,12 @@ from helpers import (
 from prolong.fixtures import load_fixtures
 from prolong.groebner import ExactMatrix, ideal_equal, rank
 from prolong.jets import jet_morphism, jet_scheme
-from prolong.operators import RingOperator, compose_operators, standard_operator
+from prolong.operators import (
+    OperatorFamily,
+    RingOperator,
+    compose_operators,
+    standard_operator,
+)
 from prolong.polynomials import (
     Monomial,
     MultiPoly,
@@ -682,3 +690,127 @@ def test_compare_map_embedding_is_injective_on_coordinates():
         assert solve_linear(ExactMatrix(QQ, transposed), unit) is not None
     assert hat.pullback(tgt.ctx.var("x_2")) == src.ctx.var("x_1")
     assert hat.pullback(tgt.ctx.var("x_1")).is_zero()
+
+
+# -- the evaluators a prolongation and an operator hold ---------------------------
+
+HELD_ALGEBRAS = [DUAL, TRUNC2, PROD2, dring_algebra(1), dring_algebra(7)]
+# both sides of 16, where AlgebraScheme.power switches to halving
+HELD_EXPONENTS = st.sampled_from([0, 1, 2, 3, 15, 16, 17, 18, 33])
+
+
+@st.composite
+def held_polys(draw, ctx, names, max_terms=3, exponents=HELD_EXPONENTS):
+    """A sum of up to ``max_terms`` terms, each a small coefficient times
+    powers of at most two of ``names``."""
+    poly = ctx.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        num, den = draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+        term = ctx.const(ctx.field.from_fraction(Fraction(num, den)))
+        for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+            term = term * ctx.var(name) ** draw(exponents)
+        poly = poly + term
+    return poly
+
+
+def _terms(value):
+    return [list(s.coeffs.items()) for s in value.slots]
+
+
+def _fresh(poly, owner):
+    return evaluate_in_algebra(poly, owner.substitution, owner.algebra, owner.ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(HELD_ALGEBRAS), st.sampled_from([QQ, GF(7)]))
+def test_held_evaluators_match_fresh_evaluation(data, algebra, field):
+    """A sequence of polynomials through one operator's extension and one
+    prolongation's expansion, plain and composed, gives each slot the values
+    and term order of a fresh evaluation of that polynomial alone."""
+    base = RingContext(field, base_gens=("t",))
+    small = st.sampled_from([0, 1, 2])
+    image = [data.draw(held_polys(base, "t", exponents=small)) for _ in algebra.labels]
+    op = RingOperator(algebra, base, {"t": algebra.element(base, image)})
+    d = RingOperator(DUAL, base, {"t": DUAL.element(base, [base.var("t"), 1])})
+    source = RingContext(field, base_gens=("t",), scheme_vars=("x", "y"))
+    generator = data.draw(held_polys(source, "xyt"))
+    scheme = AffineScheme(source, [generator])
+    plain, composed = prolong(scheme, op), prolong_composed(scheme, op, d)
+    for result in (plain, composed):
+        generators = [list(g.coeffs.items()) for g in result.scheme.generators]
+        assert generators == _terms(_fresh(generator, result))
+    for poly in data.draw(st.lists(held_polys(source, "xyt"), min_size=1, max_size=4)):
+        for result in (plain, composed):
+            assert _terms(result.expand(poly)) == _terms(_fresh(poly, result))
+        # a base-ring value from the bigger context transports down first
+        value = data.draw(held_polys(source, "t"))
+        want = evaluate_in_algebra(transport(value, base), op.images, algebra, base)
+        assert _terms(op.extend(value)) == _terms(want)
+
+
+def test_one_evaluator_per_prolongation_and_operator(monkeypatch):
+    """Generators, nabla, prolong_morphism and repeated expansions share the
+    prolongation's evaluator; every extension shares the operator's."""
+    started = []
+    for name in ("algebra", "prolongations", "operators"):
+        module = importlib.import_module(f"prolong.{name}")
+
+        def counting(*args, real=module.evaluator):
+            started.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "evaluator", counting)
+    op = dual_ddt()
+    parabola = scheme_over_t(("x", "y"), ["y - x^2", "t*y - t*x^2"])
+    line = scheme_over_t(("s",), [])
+    s = line.ctx.var("s")
+    f = PolyMorphism(line, parabola, {"x": s, "y": s * s})
+    held, held_line = prolong(parabola, op), prolong(line, op)
+    assert len(started) == 3
+    t = BASE.var("t")
+    for p in (t, t * t + 1, t**17):
+        nabla(parabola, op, {"x": p, "y": p * p}, held)
+        prolong_morphism(f, op, held_line, held)
+        held.expand(parabola.ctx.var("x") ** 20)
+        op.extend(p)
+    assert len(started) == 3
+
+
+def test_held_evaluators_die_with_their_owner():
+    """Nothing a held evaluator keeps, nor an operator family's maps, points
+    back at its owner, so dropping the last reference frees the owner and
+    its power cache at once."""
+    x2t = scheme_over_t(("x",), ["x^2 - t"])
+    gc.collect()
+    gc.disable()
+    try:
+        op = taylor_trunc2()
+        plain, composed = prolong(x2t, op), prolong_composed(x2t, op, dual_ddt())
+        poly = x2t.ctx.var("x") ** 20 * x2t.ctx.var("t") ** 3
+        plain.expand(poly), composed.expand(poly)
+        maps = OperatorFamily(op).maps
+        maps[1](BASE.var("t") ** 20)
+        refs = [weakref.ref(owner) for owner in (plain, composed, op)]
+        del plain
+        assert refs[0]() is None
+        del composed
+        assert refs[1]() is None
+        del op
+        assert refs[2]() is not None
+        del maps
+        assert refs[2]() is None
+        # and no power cache waits in a cycle for the collector
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_held_ring_maps_are_read_only():
+    op = dual_ddt()
+    result = prolong(scheme_over_t(("x",), ["x^2 - t"]), op)
+    with pytest.raises(TypeError):
+        op.images["t"] = op.images["t"] + op.images["t"]
+    with pytest.raises(TypeError):
+        result.substitution["x"] = result.substitution["t"]
+    with pytest.raises(TypeError):
+        del result.substitution["t"]
