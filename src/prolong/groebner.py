@@ -364,15 +364,34 @@ class ExactMatrix:
         for row in coerced:
             if len(row) != ncols:
                 raise ValueError("ragged matrix rows")
-        if row_labels is not None and len(row_labels) != len(coerced):
+        entries = (
+            {c: v for c, v in enumerate(row) if not field.is_zero(v)} for row in coerced
+        )
+        self._set(field, entries, ncols, row_labels, col_labels)
+
+    @classmethod
+    def from_entries(
+        cls,
+        field: Field,
+        entries: Iterable[dict],
+        ncols: int,
+        row_labels: Sequence[str] | None = None,
+        col_labels: Sequence[str] | None = None,
+    ) -> "ExactMatrix":
+        """A matrix over rows already in sparse form: each a column -> value
+        dict of nonzero elements of ``field`` below ``ncols``, kept as given."""
+        matrix = object.__new__(cls)
+        matrix._set(field, entries, ncols, row_labels, col_labels)
+        return matrix
+
+    def _set(self, field, entries, ncols, row_labels, col_labels) -> None:
+        entries = tuple(entries)
+        if row_labels is not None and len(row_labels) != len(entries):
             raise ValueError("row label count mismatch")
         if col_labels is not None and len(col_labels) != ncols:
             raise ValueError("column label count mismatch")
         self.field = field
-        self.entries = tuple(
-            {c: v for c, v in enumerate(row) if not field.is_zero(v)}
-            for row in coerced
-        )
+        self.entries = entries
         self.ncols = ncols
         self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.col_labels = tuple(col_labels) if col_labels is not None else None
@@ -440,6 +459,24 @@ def kernel_basis(matrix: ExactMatrix) -> list[list]:
             vec[c] = field.neg(row.get(f, field.zero))
         basis.append(vec)
     return basis
+
+
+def matrix_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a·b, row by row: each row of a combines the rows of b it names."""
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    field, zero, rows = a.field, a.field.zero, []
+    for arow in a.entries:
+        out: dict = {}
+        for k, v in arow.items():
+            for j, w in b.entries[k].items():
+                out[j] = field.add(out.get(j, zero), field.mul(v, w))
+        rows.append({j: w for j, w in out.items() if not field.is_zero(w)})
+    return ExactMatrix.from_entries(
+        field, rows, b.ncols, row_labels=a.row_labels, col_labels=b.col_labels
+    )
 
 
 def apply_matrix(matrix: ExactMatrix, vector: Sequence[object]) -> list:

@@ -12,9 +12,10 @@ map is checked by rank arithmetic, gated on an exact Jacobian smoothness test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import evaluate_in_algebra
-from .groebner import ExactMatrix, apply_matrix, rank
+from .groebner import ExactMatrix, apply_matrix, matrix_product, rank
 from .jets import (
     JetScheme,
     LinearFiber,
@@ -39,6 +40,8 @@ class InterpolationMap:
     restriction of the jet scheme; ``jet`` and ``prolongation`` sit one
     storey down.  The underlying assignment fixes the restricted scheme
     variables and is linear with scalar coefficients in the jet coordinates.
+    Its scalar matrix ``phi`` does not depend on a point, so it is built on
+    first use and held.
     """
 
     morphism: PolyMorphism
@@ -56,6 +59,23 @@ class InterpolationMap:
     @property
     def made_from(self) -> tuple:
         return self.jet.source, self.order, self.operator
+
+    @cached_property
+    def target_columns(self) -> tuple[str, ...]:
+        """The restricted jet coordinates z_<beta>_<j>, the rows of ``phi``."""
+        rank = self.operator.algebra.rank
+        return tuple(f"{z}_{j}" for z in self.jet.z_variables for j in range(rank))
+
+    @cached_property
+    def phi(self) -> ExactMatrix:
+        """The assignment's scalar coefficients: one row per target column,
+        one column per jet coordinate of the source."""
+        rows, cols = self.target_columns, self.source.z_variables
+        ctx = self.source.ctx
+        entries = coefficient_rows((self.assignment[w] for w in rows), ctx, cols)
+        return ExactMatrix.from_entries(
+            ctx.field, entries, len(cols), row_labels=rows, col_labels=cols
+        )
 
 
 def interpolation_map(
@@ -108,8 +128,10 @@ def fiber_matrices_at(
 
     The source fiber is the jet fiber of the restriction over the expanded
     point; the target fiber comes from the jet-linear generators of the
-    restricted jet scheme with the expanded point substituted.  The matrix
-    carries solutions of the first system into solutions of the second.
+    restricted jet scheme with the expanded point substituted.  The matrix,
+    the map's own ``phi``, carries solutions of the first system into
+    solutions of the second; it is read last, so a point that is not scalar
+    raises from the fibers first.
     """
     imap = claimed(interpolation, interpolation_map, scheme, order, operator)
     pro = imap.prolongation
@@ -118,20 +140,9 @@ def fiber_matrices_at(
     tctx = imap.target.ctx
     values = scalar_values(npoint, tctx)
     nplain = len(scheme.generators) * imap.operator.algebra.rank
-    wcols = [
-        f"{z}_{j}"
-        for z in imap.jet.z_variables
-        for j in range(imap.operator.algebra.rank)
-    ]
-    m_tgt = LinearFiber(
-        linear_system(imap.target.scheme.generators[nplain:], values, tctx, wcols)
-    )
-    cols = list(m_src.columns)
-    rows = coefficient_rows((imap.assignment[w] for w in wcols), imap.source.ctx, cols)
-    phi = ExactMatrix(
-        tctx.field, rows, ncols=len(cols), row_labels=wcols, col_labels=cols
-    )
-    return m_src, m_tgt, phi
+    polys = imap.target.scheme.generators[nplain:]
+    m_tgt = LinearFiber(linear_system(polys, values, tctx, imap.target_columns))
+    return m_src, m_tgt, imap.phi
 
 
 def jacobian_rank(scheme: AffineScheme, point) -> int:
@@ -193,12 +204,24 @@ def check_surjectivity(
     m_src, m_tgt, phi = fiber_matrices_at(
         scheme, order, operator, point, interpolation=interpolation
     )
+    return fiber_surjectivity(m_src, m_tgt, phi)
+
+
+def fiber_surjectivity(
+    m_src: LinearFiber, m_tgt: LinearFiber, phi: ExactMatrix
+) -> SurjectivityReport:
+    """Whether ``phi`` maps the source fiber onto the target fiber.
+
+    With K the kernel of M_src, phi maps K into the target fiber exactly
+    when psi = M_tgt·phi vanishes on K, and dim phi(K) = |K| minus the
+    kernel dimension of M_src stacked on phi, that is rank[M_src; phi] -
+    rank M_src.
+    """
     field = phi.field
     kernel = m_src.kernel()
-    images = [apply_matrix(phi, vec) for vec in kernel]
-    for img in images:
-        residual = apply_matrix(m_tgt.matrix, img)
-        if any(not field.is_zero(v) for v in residual):
+    psi = matrix_product(m_tgt.matrix, phi)
+    for vec in kernel:
+        if any(not field.is_zero(v) for v in apply_matrix(psi, vec)):
             return SurjectivityReport(
                 "fail",
                 "an interpolated jet leaves the target fiber",
@@ -206,7 +229,10 @@ def check_surjectivity(
                 m_tgt.dimension,
                 0,
             )
-    image_rank = rank(ExactMatrix(field, images, ncols=phi.nrows))
+    stacked = ExactMatrix.from_entries(
+        field, m_src.matrix.entries + phi.entries, phi.ncols
+    )
+    image_rank = rank(stacked) - (phi.ncols - len(kernel))
     target_dim = m_tgt.dimension
     if image_rank == target_dim:
         return SurjectivityReport(

@@ -110,21 +110,21 @@ class LinearFiber:
 
     @property
     def dimension(self) -> int:
-        return len(self.matrix.col_labels) - rank(self.matrix)
+        return self.matrix.ncols - rank(self.matrix)
 
 
-def coefficient_rows(polys, ctx: RingContext, columns) -> list[list]:
-    """Each polynomial's scalar coefficients on the column variables.
+def coefficient_rows(polys, ctx: RingContext, columns) -> list[dict]:
+    """Each polynomial's scalar coefficients on the column variables, as a
+    column -> nonzero coefficient dict.
 
     Every polynomial must be a field combination of the column variables; a
     leftover base generator or nonlinear term raises
     :class:`NotScalarPointError`.
     """
-    field = ctx.field
     index = {ctx.var_index(name): k for k, name in enumerate(columns)}
     rows = []
     for poly in polys:
-        row = [field.zero] * len(index)
+        row = {}
         for m, c in poly.coeffs.items():
             exps = m.exps
             if len(exps) != 1 or exps[0][1] != 1 or exps[0][0] not in index:
@@ -142,7 +142,7 @@ def coefficient_rows(polys, ctx: RingContext, columns) -> list[list]:
 def linear_system(polys, values, ctx: RingContext, columns) -> ExactMatrix:
     """The :func:`coefficient_rows` of ``polys`` after substituting ``values``."""
     rows = coefficient_rows((substitute(p, values, ctx) for p in polys), ctx, columns)
-    return ExactMatrix(ctx.field, rows, col_labels=list(columns))
+    return ExactMatrix.from_entries(ctx.field, rows, len(columns), col_labels=columns)
 
 
 def scalar_values(point: SchemePoint, ctx: RingContext) -> dict[str, MultiPoly]:

@@ -356,6 +356,15 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
+        if n and len(self.coeffs) == 1:
+            # (c*x^a)^n = c^n * x^(a*n), with Monomial.mul's overflow error
+            ((m, c),) = self.coeffs.items()
+            deg = m.deg * n
+            if deg > MAX_EXPONENT and any(e * n > MAX_EXPONENT for _, e in m.exps):
+                raise ValueError(f"monomial exponent above {_LIMIT}")
+            p = self.ctx.field.p
+            c = c**n if p is None else pow(c, n, p)
+            return _poly(self.ctx, {_packed(m.p * n, deg, m.n): c})
         out = self.ctx.one()
         base = self
         while n:

@@ -328,6 +328,52 @@ def dense_rref(field, rows, ncols: int):
     return work[:r], pivots
 
 
+def dense_kernel(field, rows, ncols: int) -> list:
+    """The canonical kernel basis of dense rows: one vector per free column,
+    with a one there and zeros in the other free columns."""
+    coerced = [[field.coerce(v) for v in row] for row in rows]
+    echelon, pivots = dense_rref(field, coerced, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(echelon[r][f])
+        basis.append(vec)
+    return basis
+
+
+def dense_apply(field, rows, vec) -> list:
+    out = []
+    for row in rows:
+        acc = field.zero
+        for v, x in zip(row, vec):
+            acc = field.add(acc, field.mul(field.coerce(v), x))
+        out.append(acc)
+    return out
+
+
+def reference_fiber_surjectivity(m_src, m_tgt, phi):
+    """The surjectivity report by the kernel route, densely: a kernel basis
+    of M_src, its images under phi, each image's residual under M_tgt, then
+    the rank of the images against the target fiber's dimension."""
+    from prolong.interpolation import SurjectivityReport
+
+    field, src, tgt = phi.field, m_src.matrix, m_tgt.matrix
+    kernel = dense_kernel(field, src.rows, src.ncols)
+    images = [dense_apply(field, phi.rows, vec) for vec in kernel]
+    target_dim = tgt.ncols - len(dense_rref(field, tgt.rows, tgt.ncols)[1])
+    for image in images:
+        if any(not field.is_zero(v) for v in dense_apply(field, tgt.rows, image)):
+            reason = "an interpolated jet leaves the target fiber"
+            return SurjectivityReport("fail", reason, len(kernel), target_dim, 0)
+    image_rank = len(dense_rref(field, images, phi.nrows)[1])
+    if image_rank == target_dim:
+        return SurjectivityReport("pass", "", len(kernel), target_dim, image_rank)
+    reason = f"image spans {image_rank} of {target_dim} fiber directions"
+    return SurjectivityReport("fail", reason, len(kernel), target_dim, image_rank)
+
+
 def reference_normal_form(poly: MultiPoly, basis, order: str = "grevlex"):
     """Division remainder, taking the largest working term by ``max`` on
     every step; the first divisor in list order with a dividing leading
@@ -784,24 +830,6 @@ def solve_linear(matrix, rhs):
     for row, c in zip(echelon, pivots):
         solution[c] = row.get(n, field.zero)
     return solution
-
-
-def matrix_product(a, b):
-    from prolong.groebner import ExactMatrix
-
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.ncols != b.nrows:
-        raise ValueError("shape mismatch")
-    field = a.field
-    rows = []
-    for arow in a.entries:
-        out = [field.zero] * b.ncols
-        for k, v in arow.items():
-            for j, w in b.entries[k].items():
-                out[j] = field.add(out[j], field.mul(v, w))
-        rows.append(out)
-    return ExactMatrix(field, rows, ncols=b.ncols)
 
 
 def tensor_swap_permutation(e, f) -> list:

@@ -26,7 +26,7 @@ import prolong.prolongations as prolongations
 from prolong.algebra import ALGEBRA_RANK_BUDGET
 from prolong.cli import JET_COORDINATE_BUDGET, main
 from prolong.fixtures import FixtureError, load_fixture, load_fixtures
-from prolong.groebner import EngineLimitError
+from prolong.groebner import EngineLimitError, ExactMatrix
 from prolong.scalars import Field
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +163,32 @@ def test_interpolate_emits_matrices_and_surjectivity(capsys, tmp_path):
     assert payload["surjectivity"]["status"] == "pass"
     assert payload["surjectivity"]["image_rank"] == payload["surjectivity"][
         "target_kernel"
+    ]
+
+
+def test_sphere_order_four_surjectivity_counts(capsys, tmp_path):
+    """A high-order fiber check: 714 source jet coordinates at the pole.
+    The counts were recorded with the kernel route, before the stacked
+    ranks."""
+    point = write_point(tmp_path, {"x": "0", "y": "0", "w": "1"})
+    code, out = run_cli(
+        capsys,
+        "interpolate",
+        "--order",
+        4,
+        "--input",
+        FIXTURES / "sphere.json",
+        "--at",
+        point,
+        "--check-surjectivity",
+        "--dim",
+        2,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2:] == [
+        "surjectivity: PASS",
+        "kernels: source 711, target 99, image rank 99",
     ]
 
 
@@ -419,11 +445,29 @@ def _swap_composition(monkeypatch):
     monkeypatch.setattr(prolongations, "compose_operators", lambda e, f: real(f, e))
 
 
+def _held_phi(monkeypatch, corrupt):
+    """Replace the phi each interpolation map holds by corrupt(phi)'s rows."""
+    real = interpolation.InterpolationMap.phi
+
+    def phi(imap):
+        held = real.__get__(imap)
+        rows = corrupt(held.entries)
+        return ExactMatrix.from_entries(
+            held.field, rows, held.ncols, held.row_labels, held.col_labels
+        )
+
+    monkeypatch.setattr(interpolation.InterpolationMap, "phi", property(phi))
+
+
 def _zero_fiber_images(monkeypatch):
-    """Corrupt check_surjectivity: phi sends every kernel vector to zero."""
-    monkeypatch.setattr(
-        interpolation, "apply_matrix", lambda m, v: [m.field.zero] * m.nrows
-    )
+    """Corrupt the interpolation map: phi sends every kernel vector to zero."""
+    _held_phi(monkeypatch, lambda rows: [{} for _ in rows])
+
+
+def _reverse_fiber_images(monkeypatch):
+    """Corrupt the interpolation map: phi's rows come in reverse order, so
+    an image's coordinates land on the wrong target columns."""
+    _held_phi(monkeypatch, lambda rows: rows[::-1])
 
 
 def _double_printed_scalars(monkeypatch):
@@ -533,6 +577,20 @@ NON_COMMUTING_SECOND = {
             _double_printed_scalars,
             1,
             {"law": "parse after print", "polynomial": "x^2 + y^2 - 2"},
+        ),
+        (
+            "surjectivity",
+            "conic",
+            {},
+            _reverse_fiber_images,
+            1,
+            {
+                "law": "fiberwise surjectivity",
+                "algebra": "truncated(1,1)",
+                "order": 1,
+                "point": {"x": "3/5", "y": "4/5"},
+                "reason": "an interpolated jet leaves the target fiber",
+            },
         ),
     ],
 )

@@ -14,7 +14,6 @@ from helpers import (
     TRIANGLE_BASIS_SHA256,
     count_zero_reductions,
     cyclic,
-    matrix_product,
     reference_groebner,
     reference_normal_form,
     s_polynomial,
@@ -42,6 +41,7 @@ from prolong.groebner import (
     ideal_equal,
     ideal_member,
     kernel_basis,
+    matrix_product,
     normal_form,
     rank,
 )

@@ -13,6 +13,7 @@ from helpers import (
     dense_algebra,
     gamma_indices,
     multinomial,
+    reference_fiber_surjectivity,
     reference_interpolation_assignment,
     reference_interpolation_coefficients,
 )
@@ -28,14 +29,22 @@ import prolong.interpolation
 import prolong.jets
 import prolong.prolongations
 from prolong.fixtures import fixture_points, load_fixtures
-from prolong.groebner import apply_matrix, groebner, ideal_member, rank
+from prolong.groebner import (
+    ExactMatrix,
+    apply_matrix,
+    groebner,
+    ideal_member,
+    matrix_product,
+    rank,
+)
 from prolong.interpolation import (
     check_surjectivity,
     fiber_matrices_at,
+    fiber_surjectivity,
     interpolation_map,
     jacobian_rank,
 )
-from prolong.jets import jet_morphism, jet_scheme
+from prolong.jets import LinearFiber, jet_morphism, jet_scheme
 from prolong.operators import RingOperator, compose_operators, standard_operator
 from prolong.polynomials import (
     Monomial,
@@ -641,3 +650,99 @@ def test_fiber_matrices_equal_with_and_without_jet_reuse(monkeypatch):
                         assert a.col_labels == b.col_labels
                     compared += 1
     assert compared >= 30
+
+
+FIBER_FIELDS = {"QQ": QQ, "GF(7)": GF(7)}
+# how a random fiber triple is made: consistent, or with one phi column or
+# one M_tgt row replaced after M_src was fitted to phi and M_tgt
+FIBER_CASES = ("consistent", "phi column", "target row")
+
+
+def _sparse_rows(rng, field, nrows, ncols):
+    """Dense rows with about one nonzero entry in three."""
+    def entry():
+        if rng.random() < 2 / 3:
+            return 0
+        if field.is_rational:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return rng.randrange(field.p)
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _fiber_triple(rng, field, case):
+    """Random sparse M_src, M_tgt and phi.  M_src carries the rows of
+    M_tgt·phi under a few random rows, so phi maps its kernel into the
+    target fiber until the case replaces a phi column or an M_tgt row."""
+    n, w, t = rng.randint(1, 7), rng.randint(1, 6), rng.randint(0, 4)
+    phi = _sparse_rows(rng, field, w, n)
+    tgt = _sparse_rows(rng, field, t, w)
+    psi = matrix_product(ExactMatrix(field, tgt, ncols=w), ExactMatrix(field, phi))
+    src = _sparse_rows(rng, field, rng.randint(0, 3), n) + psi.rows
+    rng.shuffle(src)
+    if case == "phi column":
+        column, fresh = rng.randrange(n), _sparse_rows(rng, field, w, 1)
+        for row, (value,) in zip(phi, fresh):
+            row[column] = value
+    elif case == "target row" and tgt:
+        tgt[rng.randrange(t)] = _sparse_rows(rng, field, 1, w)[0]
+    return (
+        LinearFiber(ExactMatrix(field, src, ncols=n)),
+        LinearFiber(ExactMatrix(field, tgt, ncols=w)),
+        ExactMatrix(field, phi, ncols=n),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from(sorted(FIBER_FIELDS)),
+    case=st.sampled_from(FIBER_CASES),
+)
+def test_stacked_ranks_report_like_the_kernel_route(seed, field, case):
+    """Residual through psi = M_tgt·phi and image rank from rank[M_src; phi]
+    give the kernel route's full report, reason and counts included."""
+    triple = _fiber_triple(random.Random(seed), FIBER_FIELDS[field], case)
+    assert fiber_surjectivity(*triple) == reference_fiber_surjectivity(*triple)
+
+
+def test_each_fiber_verdict_comes_up_in_the_random_triples():
+    """The generator behind the comparison above reaches the pass and both
+    fail reasons, each corruption at least one fail."""
+    seen = set()
+    for seed in range(200):
+        for field in FIBER_FIELDS.values():
+            for case in FIBER_CASES:
+                triple = _fiber_triple(random.Random(seed), field, case)
+                report = fiber_surjectivity(*triple)
+                assert report == reference_fiber_surjectivity(*triple)
+                seen.add((case, report.reason.split(" ")[0] or "pass"))
+    assert {("consistent", "pass"), ("consistent", "image")} <= seen
+    assert ("phi column", "an") in seen and ("target row", "an") in seen
+    assert ("consistent", "an") not in seen
+
+
+def test_phi_is_built_once_per_map(monkeypatch):
+    """phi is held on the map: one object at every point, equal to a fresh
+    map's, and interpolation_map alone reads no coefficient rows."""
+    calls = []
+
+    def counting(*args, real=prolong.interpolation.coefficient_rows):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(prolong.interpolation, "coefficient_rows", counting)
+    sphere = plain_scheme(("x", "y", "w"), ["x^2 + y^2 + w^2 - 1"])
+    operator = op(truncated_algebra(1, 2))
+    imap = interpolation_map(sphere, 2, operator)
+    assert calls == []
+    points = [{"x": 0, "y": 0, "w": 1}, {"x": Fraction(3, 5), "y": 0, "w": Fraction(4, 5)}]
+    held = [fiber_matrices_at(sphere, 2, operator, p, interpolation=imap)[2] for p in points]
+    assert held[0] is held[1] is imap.phi
+    assert len(calls) == 1
+    for p in points:
+        fresh = fiber_matrices_at(sphere, 2, operator, p)[2]
+        assert fresh is not held[0]
+        assert fresh.rows == held[0].rows
+        assert fresh.row_labels == held[0].row_labels
+        assert fresh.col_labels == held[0].col_labels

@@ -7,7 +7,6 @@ from helpers import (
     degree_in,
     divided_power_oracle,
     local_quotient_dimension,
-    matrix_product,
     specialize_base,
 )
 from prolong.jets import (
@@ -252,7 +251,7 @@ def test_jet_morphism_chain_rule_at_points():
     jf = jet_morphism(f, order, jet, jet)
     jg = jet_morphism(g, order, jet, jet)
     jgf = jet_morphism(g.compose(f), order, jet, jet)
-    from prolong.groebner import ExactMatrix
+    from prolong.groebner import ExactMatrix, matrix_product
 
     at = 3
     m_f = ExactMatrix(QQ, _morphism_matrix(jf, jet, jet, {"x": at}))

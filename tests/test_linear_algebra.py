@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rref, matrix_product, solve_linear
+from helpers import dense_apply, dense_kernel, dense_rref, solve_linear
 from prolong.groebner import (
     ExactMatrix,
     _rref,
     apply_matrix,
     kernel_basis,
+    matrix_product,
     rank,
 )
 from prolong.scalars import GF, QQ
@@ -43,28 +44,6 @@ def _coerced(field, rows):
     return [[field.coerce(v) for v in row] for row in rows]
 
 
-def _reference_kernel(field, rows, ncols):
-    echelon, pivots = dense_rref(field, _coerced(field, rows), ncols)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for r, c in enumerate(pivots):
-            vec[c] = field.neg(echelon[r][f])
-        basis.append(vec)
-    return basis
-
-
-def _reference_apply(field, rows, vec):
-    out = []
-    for row in _coerced(field, rows):
-        acc = field.zero
-        for v, x in zip(row, vec):
-            acc = field.add(acc, field.mul(v, x))
-        out.append(acc)
-    return out
-
-
 field_names = st.sampled_from(sorted(FIELDS))
 common = settings(max_examples=150, deadline=None)
 
@@ -91,7 +70,7 @@ def test_elimination_matches_dense_reference(data, name):
         ref_echelon
     )
     assert rank(matrix) == len(ref_pivots)
-    assert kernel_basis(matrix) == _reference_kernel(field, rows, matrix.ncols)
+    assert kernel_basis(matrix) == dense_kernel(field, rows, matrix.ncols)
 
 
 @common
@@ -119,11 +98,11 @@ def test_apply_and_product_match_dense_reference(data, name):
     a, a_rows = data.draw(matrices(field))
     vec = data.draw(st.lists(_scalars(field), min_size=a.ncols, max_size=a.ncols))
     coerced = [field.coerce(v) for v in vec]
-    assert apply_matrix(a, vec) == _reference_apply(field, a_rows, coerced)
+    assert apply_matrix(a, vec) == dense_apply(field, a_rows, coerced)
     b, b_rows = data.draw(matrices(field, nrows=a.ncols))
     columns = [[row[j] for row in _coerced(field, b_rows)] for j in range(b.ncols)]
     expected = [
-        [_reference_apply(field, [row], col)[0] for col in columns]
+        [dense_apply(field, [row], col)[0] for col in columns]
         for row in a_rows
     ]
     assert matrix_product(a, b).rows == expected

@@ -223,6 +223,49 @@ def test_arithmetic_gf():
     assert (x + 1) ** 7 == x**7 + 1
 
 
+one_terms = st.tuples(
+    st.sampled_from(["QQ", "GF(7)"]),
+    st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    ),
+    st.dictionaries(st.integers(0, 2), st.integers(0, 5), max_size=3),
+    st.integers(0, 7),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_terms)
+def test_power_of_one_term_is_the_repeated_product(case):
+    """c*x^a to the n equals n products of c*x^a: n = 0 gives 1 also for
+    the zero polynomial, and GF(7) coefficients reduce mod 7."""
+    name, c, exps, n = case
+    ctx = RingContext(QQ if name == "QQ" else GF(7), scheme_vars=("x", "y", "w"))
+    term = MultiPoly(ctx, {Monomial(exps.items()): ctx.field.coerce(c)})
+    expected = ctx.one()
+    for _ in range(n):
+        expected = reference_poly_mul(expected, term)
+    assert term**n == expected
+    assert (term**n).coeffs == expected.coeffs  # no stored zero coefficient
+
+
+def test_power_of_one_term_checks_each_exponent():
+    ctx = RingContext(GF(7), scheme_vars=("x", "y"))
+    limit = "monomial exponent above the limit 2147483647 (2**31 - 1)"
+    big = parse_poly("3*x*y^2", ctx)
+    half = MAX_EXPONENT // 2
+    assert big**half == MultiPoly(
+        ctx, {Monomial([(0, half), (1, 2 * half)]): pow(3, half, 7)}
+    )
+    with pytest.raises(ValueError, match=re.escape(limit)):
+        big ** (half + 1)  # only y's exponent overflows
+    with pytest.raises(ValueError, match=re.escape(limit)):
+        parse_poly("x", ctx) ** (MAX_EXPONENT + 1)
+    assert ctx.zero() ** 0 == ctx.one() and ctx.zero() ** 5 == ctx.zero()
+    assert parse_poly("5", ctx) ** MAX_EXPONENT == ctx.const(pow(5, MAX_EXPONENT, 7))
+
+
 def test_print_canonical():
     ctx = RingContext(QQ, base_gens=("t",), scheme_vars=("x", "y"))
     p = parse_poly("y^2 - x^3 + 2*t*x - 1/2", ctx)
